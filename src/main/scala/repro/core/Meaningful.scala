@@ -100,10 +100,10 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
     if (score <= fTheta) return false
     val below = tops.lowerNode(score, t)
     if (below != null) {
-      val si = below.tag
-      tops.delete(below.score, below.t)
-      stacks(si).push(score, t)
-      tops.insert(score, t, tag = si)
+      // The new top lies between `below` and the next top, so the index
+      // node keeps its position: update its key in place.
+      stacks(below.tag).push(score, t)
+      tops.rekey(below, score, t)
       live += 1
       true
     } else if (stacks.length < limit) {
@@ -172,13 +172,24 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
   def stackCount: Int = stacks.length
 
   /** Invariant check used by tests: within every stack, scores strictly
-    * ascend and arrival orders strictly descend toward the top.
+    * ascend and arrival orders strictly descend toward the top; and the
+    * tops index holds exactly the current stack tops, in ascending key
+    * order, each tagged with its stack and reachable by key search.
     */
   def invariantsHold: Boolean = stacks.forall { st =>
     (1 until st.depth).forall { i =>
       st.scores(i) > st.scores(i - 1) ||
         (st.scores(i) == st.scores(i - 1) && st.ts(i) > st.ts(i - 1))
     } && (1 until st.depth).forall(i => st.ts(i) < st.ts(i - 1))
+  } && topsIndexHolds
+
+  private def topsIndexHolds: Boolean = {
+    val indexed = new ArrayBuffer[(Double, Long, Int)]()
+    tops.foreachAscending(n => indexed += ((n.score, n.t, n.tag)))
+    val expected = stacks.indices.filter(si => stacks(si).nonEmpty)
+      .map(si => (stacks(si).topScore, stacks(si).topT, si))
+      .sortWith((a, b) => Event.gt(b._1, b._2, a._1, a._2))
+    indexed == expected && expected.forall { case (s, t, _) => tops.find(s, t) != null }
   }
 
   override def memoryBytes: Long =

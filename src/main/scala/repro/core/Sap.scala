@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 /** Meaningful-set formation policy — the rows of Table 2. */
@@ -63,7 +62,7 @@ final class Sap(
   // Current (still growing) partition.
   private var curStartT = 1L
   private var curSize = 0
-  private var curTop = new TopKBuffer(k)
+  private var curTop: Array[Event] = Array.empty // P_cur^k, best-first
   private var curUnits = new ArrayBuffer[UnitSummary]()
 
   // Current (still filling) unit.
@@ -74,6 +73,7 @@ final class Sap(
   private val tbui: Tbui = if (partitioner.useTbui) new Tbui(k) else null
 
   private var arrivals = 0L
+  private var formed = 0
 
   // ---------------------------------------------------------------- slides
 
@@ -138,11 +138,10 @@ final class Sap(
     if (curSize == 0) {
       adoptUnitAsNewPartition(topDesc, summary)
     } else {
-      val mergedTop = mergeTop(curTop.toDescendingArray, topDesc, k)
+      val mergedTop = mergeTop(curTop, topDesc, k)
       val history = historyTopScores(curSize + unitSz)
       if (partitioner.join(query, curSize, mergedTop.map(_.score), history)) {
-        var i = 0
-        while (i < topDesc.length) { curTop.offer(topDesc(i).score, topDesc(i).t); i += 1 }
+        curTop = mergedTop
         curSize += unitSz
         curUnits += summary
       } else {
@@ -157,9 +156,7 @@ final class Sap(
 
   private def adoptUnitAsNewPartition(topDesc: Array[Event], summary: UnitSummary): Unit = {
     curStartT = summary.startT
-    curTop = new TopKBuffer(k)
-    var i = 0
-    while (i < topDesc.length) { curTop.offer(topDesc(i).score, topDesc(i).t); i += 1 }
+    curTop = topDesc
     curSize = unitSz
     curUnits = new ArrayBuffer[UnitSummary]()
     curUnits += summary
@@ -170,7 +167,7 @@ final class Sap(
     * candidates below each new one and removing those reaching k.
     */
   private def finalizeCurrent(): Unit = {
-    val p = new Part(curStartT, curStartT + curSize, curTop.toDescendingArray, curUnits)
+    val p = new Part(curStartT, curStartT + curSize, curTop, curUnits)
     val newAsc = p.topK.reverse
     val doomed = new ArrayBuffer[Event]()
     var j = 0
@@ -191,7 +188,7 @@ final class Sap(
     if (formation == Formation.EagerExact) formEager(p)
     curSize = 0
     curUnits = new ArrayBuffer[UnitSummary]()
-    curTop = new TopKBuffer(k)
+    curTop = Array.empty
   }
 
   // --------------------------------------------------------- M_i formation
@@ -211,7 +208,7 @@ final class Sap(
     * (all of which arrived after p and therefore outlive it).
     */
   private def fThetaFor(p: Part): Double = {
-    val later = mergeTop(curTop.toDescendingArray, unitTop.toDescendingArray, k)
+    val later = mergeTop(curTop, unitTop.toDescendingArray, k)
     var count = 0
     var kth = Double.NegativeInfinity
     var li = 0
@@ -244,12 +241,12 @@ final class Sap(
       case Formation.DelayedExact => new ExactSkybandSet(limit, fTheta)
       case _                      => new SAvl(limit, fTheta)
     }
-    val candTs = topKTs(p)
     if (partitioner.useTbui && formation == Formation.DelayedSAvl)
-      ubsaScan(p, m, fTheta, candTs)
+      ubsaScan(p, m, fTheta)
     else
-      scanRange(p.endT - 1, p.startT, m, candTs)
+      scanRange(p, p.endT - 1, p.startT, m)
     p.meaningful = m
+    formed += 1
   }
 
   /** "non-delay": M is built at finalize time. No later-arriving candidates
@@ -259,27 +256,24 @@ final class Sap(
     */
   private def formEager(p: Part): Unit = {
     val m = new ExactSkybandSet(k, Double.NegativeInfinity)
-    scanRange(p.endT - 1, p.startT, m, topKTs(p))
+    scanRange(p, p.endT - 1, p.startT, m)
     p.meaningful = m
+    formed += 1
   }
 
-  private def topKTs(p: Part): mutable.LongMap[Boolean] = {
-    val set = new mutable.LongMap[Boolean](p.topK.length * 2)
-    p.topK.foreach(e => set.update(e.t, true))
-    set
-  }
-
-  /** Reverse-arrival-order scan of [lowT, highT] from the ring, feeding
-    * every non-candidate object into `m`.
+  /** Reverse-arrival-order scan of [lowT, highT] ⊆ `p` from the ring,
+    * feeding every object of P − P^k into `m`. Keys are unique, so an
+    * object of `p` is in P^k exactly when its key is at least min(P^k).
     */
-  private def scanRange(highT: Long, lowT: Long, m: MeaningfulSet,
-                        candTs: mutable.LongMap[Boolean]): Unit = {
+  private def scanRange(p: Part, highT: Long, lowT: Long, m: MeaningfulSet): Unit = {
+    val mn = p.minTop
+    ring.slot(lowT) // bounds check of the low end
+    var i = ring.slot(highT)
     var t = highT
     while (t >= lowT) {
-      if (!candTs.contains(t)) {
-        val e = ring.at(t)
-        m.insert(e.score, e.t)
-      }
+      val score = ring.scoreAt(i)
+      if (Event.gt(mn.score, mn.t, score, t)) m.insert(score, t)
+      i = ring.prevSlot(i)
       t -= 1
     }
   }
@@ -292,13 +286,13 @@ final class Sap(
     *    so feeding the summary replaces scanning the unit;
     *  - otherwise the unit is scanned in full from the ring.
     */
-  private def ubsaScan(p: Part, m: MeaningfulSet, fTheta: Double,
-                       candTs: mutable.LongMap[Boolean]): Unit = {
+  private def ubsaScan(p: Part, m: MeaningfulSet, fTheta: Double): Unit = {
+    val mn = p.minTop
     var ui = p.units.length - 1
     while (ui >= 0) {
       val u = p.units(ui)
       if (!u.kUnit) {
-        if (u.top(0).score > fTheta) scanRange(u.endT - 1, u.startT, m, candTs)
+        if (u.top(0).score > fTheta) scanRange(p, u.endT - 1, u.startT, m)
         // else: every object of the unit fails the global pruning — skip
       } else {
         if (u.minTop.score < fTheta) {
@@ -307,10 +301,10 @@ final class Sap(
           var i = 0
           while (i < byTDesc.length) {
             val e = byTDesc(i)
-            if (!candTs.contains(e.t)) m.insert(e.score, e.t)
+            if (Event.gt(mn.score, mn.t, e.score, e.t)) m.insert(e.score, e.t)
             i += 1
           }
-        } else scanRange(u.endT - 1, u.startT, m, candTs)
+        } else scanRange(p, u.endT - 1, u.startT, m)
       }
       ui -= 1
     }
@@ -323,7 +317,7 @@ final class Sap(
     val out = new Array[Event](k)
     var filled = 0
 
-    val a = curTop.toDescendingArray
+    val a = curTop
     val b = unitTop.toDescendingArray
     val front = parts.peekFirst()
     val mArr: Array[Event] =
@@ -370,12 +364,12 @@ final class Sap(
       val p = it.next()
       if (p.meaningful != null) m0 += p.meaningful.size
     }
-    cand.size + curTop.size + unitTop.size + m0
+    cand.size + curTop.length + unitTop.size + m0
   }
 
   override def memoryBytes: Long = {
     var bytes =
-      (cand.size + curTop.size + unitTop.size).toLong * ContinuousTopK.TreeNodeBytes
+      (cand.size + curTop.length + unitTop.size).toLong * ContinuousTopK.TreeNodeBytes
     val it = parts.iterator()
     while (it.hasNext) {
       val p = it.next()
@@ -389,8 +383,8 @@ final class Sap(
     bytes
   }
 
-  /** Number of live finalized partitions (test observability). */
-  def partitionCount: Int = parts.size
+  /** Number of M_i sets formed so far (test observability). */
+  def meaningfulFormed: Int = formed
 
   /** Sizes (object counts) of live finalized partitions, oldest first. */
   def partitionSizes: Seq[Int] = {
@@ -414,15 +408,16 @@ final class Sap(
     out.toArray
   }
 
-  /** Merge two best-first arrays into the best `limit`, deduplicating. */
+  /** Merge two disjoint best-first arrays into the best `limit`. */
   private def mergeTop(a: Array[Event], b: Array[Event], limit: Int): Array[Event] = {
-    val out = new ArrayBuffer[Event](limit)
-    var i = 0; var j = 0
-    while (out.length < limit && (i < a.length || j < b.length)) {
+    val out = new Array[Event](math.min(limit, a.length + b.length))
+    var i = 0; var j = 0; var o = 0
+    while (o < out.length) {
       if (j >= b.length || (i < a.length && Event.gt(a(i).score, a(i).t, b(j).score, b(j).t)))
-        { out += a(i); i += 1 }
-      else { out += b(j); j += 1 }
+        { out(o) = a(i); i += 1 }
+      else { out(o) = b(j); j += 1 }
+      o += 1
     }
-    out.toArray
+    out
   }
 }

@@ -16,7 +16,10 @@ package repro.core
   */
 final class ScoreTree extends Serializable {
 
-  final class Node(val score: Double, val t: Long) extends Serializable {
+  final class Node(private[ScoreTree] var keyScore: Double, private[ScoreTree] var keyT: Long)
+      extends Serializable {
+    def score: Double = keyScore
+    def t: Long = keyT
     var left: Node = _
     var right: Node = _
     var height: Int = 1
@@ -71,6 +74,12 @@ final class ScoreTree extends Serializable {
     else n.right = ins(n.right, s, t, dom, tag)
     balance(n)
   }
+
+  /** Replace the key of `node` in place. The new key must keep the node's
+    * in-order position (above its predecessor, below its successor), so no
+    * rebalancing or size update is needed.
+    */
+  def rekey(node: Node, score: Double, t: Long): Unit = { node.keyScore = score; node.keyT = t }
 
   /** Delete the entry with exactly this key. Returns true if present. */
   def delete(score: Double, t: Long): Boolean = {

@@ -33,10 +33,22 @@ final class WindowRing(val capacity: Int) extends Serializable {
 
   /** Event by absolute arrival order t (must still be retained). */
   def at(t: Long): Event = {
-    require(t > n - count && t <= n, s"t=$t outside retained window (last=$n, kept=$count)")
-    val i = ((t - 1) % capacity).toInt
+    val i = slot(t)
     Event(ts(i), scores(i))
   }
+
+  /** Storage slot of arrival order t (must still be retained), for scans
+    * that read `scoreAt` and step with `prevSlot`.
+    */
+  def slot(t: Long): Int = {
+    require(t > n - count && t <= n, s"t=$t outside retained window (last=$n, kept=$count)")
+    ((t - 1) % capacity).toInt
+  }
+
+  /** Slot of the arrival just before the one in slot `i`. */
+  @inline def prevSlot(i: Int): Int = if (i == 0) capacity - 1 else i - 1
+
+  @inline def scoreAt(slot: Int): Double = scores(slot)
 
   /** Latest arrival order appended so far. */
   def lastT: Long = n

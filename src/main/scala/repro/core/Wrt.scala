@@ -44,24 +44,28 @@ object Wrt {
   /** Rank-sum R1 of `sample1` within the merged ascending ordering of
     * `sample1 ++ sample2` (ranks 1-based from the smallest). Ties are
     * impossible in our streams (unique scores) but are midranked anyway.
+    *
+    * Both samples are copied and sorted as primitives, then merged. The
+    * order is `java.lang.Double.compare` (−0.0 before 0.0, NaN last); a tie
+    * group is a run of `==`-equal values, so −0.0 ties with 0.0 and every
+    * NaN ranks alone, sample1's NaNs before sample2's.
     */
   def rankSum(sample1: Array[Double], sample2: Array[Double]): Double = {
-    val all = new Array[(Double, Int)](sample1.length + sample2.length)
-    var i = 0
-    while (i < sample1.length) { all(i) = (sample1(i), 1); i += 1 }
-    var j = 0
-    while (j < sample2.length) { all(i + j) = (sample2(j), 2); j += 1 }
-    val sorted = all.sortBy(_._1)
+    val a = sample1.clone(); java.util.Arrays.sort(a)
+    val b = sample2.clone(); java.util.Arrays.sort(b)
     var r1 = 0.0
-    var idx = 0
-    while (idx < sorted.length) {
-      // midrank over the tie group [idx, end)
-      var end = idx + 1
-      while (end < sorted.length && sorted(end)._1 == sorted(idx)._1) end += 1
-      val midrank = (idx + 1 + end) / 2.0 // ranks idx+1 .. end averaged
-      var q = idx
-      while (q < end) { if (sorted(q)._2 == 1) r1 += midrank; q += 1 }
-      idx = end
+    var i = 0; var j = 0
+    while (i < a.length || j < b.length) {
+      val ranked = i + j
+      val i0 = i
+      // the tie group starts at the smaller head (sample1's on equal keys)
+      val fromA = j >= b.length || (i < a.length && java.lang.Double.compare(a(i), b(j)) <= 0)
+      val v = if (fromA) a(i) else b(j)
+      if (fromA) i += 1 else j += 1
+      while (i < a.length && a(i) == v) i += 1
+      while (j < b.length && b(j) == v) j += 1
+      // each sample1 member of the group gets ranks ranked+1 .. i+j averaged
+      r1 += (i - i0) * ((ranked + 1 + i + j) / 2.0)
     }
     r1
   }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Sizing rules of §4.1/§4.2: m*, l_min, l_max and unit rounding. */
@@ -64,6 +65,35 @@ class PartitionerSpec extends AnyFunSuite {
     val q = TopKQuery(2400, 100, 24)
     val p = new DynamicPartitioner
     assert(p.join(q, Partitioner.lMin(q), Array.fill(q.k)(10.0), Array(1.0, 2.0)))
+  }
+
+  test("dynamic join decides as Eq. 2 with a naive rank-sum on tied, infinite and NaN samples") {
+    /** The join rule with R1 from the naive pairwise rank-sum. */
+    def reference(q: TopKQuery, curSize: Int, top: Array[Double], hist: Array[Double]): Boolean = {
+      if (curSize + Partitioner.lMin(q) > Partitioner.lMax(q)) return false
+      if (hist.length < Wrt.etaK(q.k)) return true
+      val (n1, n2) = (top.length, hist.length)
+      val mu = n1 * (n1 + n2 + 1) / 2.0
+      val sigma = math.sqrt(n1.toDouble * n2 * (n1 + n2 + 1) / 12.0)
+      (RankSumSamples.naiveRankSum(top, hist) - mu) / sigma - Wrt.U975 <= 0.0
+    }
+    val p = new DynamicPartitioner
+    val calls = for {
+      k <- Gen.oneOf(1, 5, 10, 20)
+      q = TopKQuery(2400, k, 24)
+      curSize <- Gen.oneOf(Partitioner.lMin(q), Partitioner.lMax(q))
+      top <- RankSumSamples.sample(k, k)
+      hist <- RankSumSamples.sample(Wrt.etaK(k) - 2, Wrt.etaK(k) + 8)
+    } yield (q, curSize, top, hist)
+    var joins = 0; var finalizes = 0
+    val prop = Prop.forAll(calls) { case (q, curSize, top, hist) =>
+      val decision = p.join(q, curSize, top, hist)
+      if (decision) joins += 1 else finalizes += 1
+      decision == reference(q, curSize, top, hist)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(res.passed, res.status.toString)
+    assert(joins > 0 && finalizes > 0, s"joins=$joins finalizes=$finalizes")
   }
 
   test("only the enhanced partitioner enables TBUI") {

@@ -44,6 +44,35 @@ class SAvlSpec extends AnyFunSuite {
     }
   }
 
+  for (seed <- 1 to 20) {
+    test(s"tops index holds exactly the stack tops after every insert and expire, tied scores (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 300
+      // scores from a small pool, so equal scores are frequent
+      val events = Array.tabulate(n)(i => Event(i + 1L, rnd.nextInt(25).toDouble))
+      val limit = 1 + rnd.nextInt(10)
+      val fTheta = if (rnd.nextBoolean()) Double.NegativeInfinity else 5.0
+      val s = new SAvl(limit, fTheta)
+      var t = n
+      while (t >= 1) {
+        val e = events(t - 1)
+        s.insert(e.score, e.t)
+        assert(s.invariantsHold, s"after insert of $e")
+        t -= 1
+      }
+      val kept = s.collectTop(s.size).map(_.t).toSet
+      var minT = 0
+      while (minT < n) {
+        val next = math.min(n, minT + 1 + rnd.nextInt(30))
+        s.expire(events.slice(minT, next), next.toLong)
+        minT = next
+        assert(s.invariantsHold, s"after expiry up to t=$minT")
+        assert(s.collectTop(s.size).map(_.t).toSet == kept.filter(_ > minT))
+      }
+      assert(s.size == 0)
+    }
+  }
+
   test("stack count never exceeds the limit") {
     for (limit <- Seq(1, 2, 5, 20)) {
       val s = build(randomEvents(300, 42), limit, Double.NegativeInfinity)

@@ -53,6 +53,19 @@ class SapSpec extends AnyFunSuite {
       ds.name, events, q)
   }
 
+  for (ds <- Seq(StreamData.TimeR, StreamData.Stock)) {
+    test(s"SAP[EN-DYNA,savl] == brute force at high-speed scale on ${ds.name} n=48000 k=1000 s=960") {
+      val q = TopKQuery(n = 48000, k = 1000, s = 960)
+      // seven 20 160-object partitions drain after the first window
+      val events = ds.generate(192000)
+      val sap = new Sap(q, new EnhancedDynamicPartitioner, Formation.DelayedSAvl)
+      SlideRunner.runAllChecked(
+        Seq("brute" -> (qq => new BruteForce(qq)), "sap" -> (_ => sap)),
+        ds.name, events, q)
+      assert(sap.meaningfulFormed >= 3, s"only ${sap.meaningfulFormed} fronts had ρ < k")
+    }
+  }
+
   test("SAP |C ∪ M0| stays within the §4.1 bound under equal partitioning at m*") {
     for (ds <- StreamData.all) {
       val q = TopKQuery(n = 1000, k = 20, s = 10)

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -28,6 +29,17 @@ class WrtSpec extends AnyFunSuite {
     assert(Wrt.rankSum(Array(30.0, 40.0), Array(10.0, 20.0)) == 7.0)
     // Ties midranked: {5,5} vs {5,5} -> each rank (1+2+3+4)/4 = 2.5, R1 = 5.
     assert(Wrt.rankSum(Array(5.0, 5.0), Array(5.0, 5.0)) == 5.0)
+  }
+
+  test("rankSum equals a naive pairwise midranked rank-sum with ties, ±Inf and NaN (ScalaCheck)") {
+    val prop = Prop.forAll(RankSumSamples.sample(0, 40), RankSumSamples.sample(0, 40)) { (a, b) =>
+      val before = (a.clone(), b.clone())
+      val r1 = Wrt.rankSum(a, b)
+      r1 == RankSumSamples.naiveRankSum(a, b) &&
+        java.util.Arrays.equals(a, before._1) && java.util.Arrays.equals(b, before._2) // inputs untouched
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop)
+    assert(res.passed, res.status.toString)
   }
 
   test("evaluate accepts same-distribution samples (F <= 0) most of the time") {

@@ -1,49 +1,17 @@
 package repro.bench
 
-import repro.baselines.{BruteForce, KSkyband, MinTopK, Sma}
 import repro.core._
-import repro.stream.{RunMetrics, SlideRunner, StreamData}
+import repro.stream.{Evaluation, RunMetrics, SlideRunner, StreamData}
 import scala.collection.mutable
 
-/** Shared benchmark harness for the table suites.
+/** Shared benchmark harness for the table suites, over the algorithms and
+  * grids of [[Evaluation]].
   *
-  * The paper streams 10⁶–10⁸ objects through a C++ implementation; we
-  * stream |D| = 120k (regular tables) / 240k (high-speed tables) objects
-  * through the JVM with n, k, s at the paper's ratios — see DESIGN.md §4.
   * Runs are memoized so tables sharing cells (3/6/8 and 5/7/9) measure each
   * configuration once; in every regular-scale cell the algorithms' answers
   * are digest-checked against brute force.
   */
 object Bench {
-  /** Regular-speed dataset size (Tables 2, 3, 6, 8). */
-  val RegularD = 120_000
-  /** High-speed dataset size (Tables 5, 7, 9). */
-  val HighD = 240_000
-
-  // Regular-speed sweeps (defaults bolded in the paper: n=2%|D| here,
-  // k=100, s=1%n — the paper's 0.1%|D|, 100, 0.1%n at its |D|).
-  val RegN = Seq(600, 1200, 2400, 4800) // 0.5%..4% of |D|
-  val RegK = Seq(10, 50, 100, 250, 500)
-  val RegS: Int => Seq[Int] = n => Seq(math.max(1, n / 1000), n / 100, n / 20, n / 10)
-  val RegDefault: (Int, Int, Int) = (2400, 100, 24)
-
-  // High-speed sweeps (paper Table 4: n=10–50%|D|, k=500–50000, s≤10%n).
-  val HighN = Seq(24_000, 48_000, 72_000, 96_000, 120_000)
-  val HighK = Seq(500, 1000, 2500, 5000)
-  val HighS: Int => Seq[Int] = n => Seq(n / 1000, n / 100, n / 50, n / 20, n / 10)
-  val HighDefault: (Int, Int, Int) = (48_000, 1000, 960)
-
-  val algoFactories: Map[String, TopKQuery => ContinuousTopK] = Map(
-    "SAP" -> (q => new Sap(q, new EnhancedDynamicPartitioner, Formation.DelayedSAvl)),
-    "EN-DYNA" -> (q => new Sap(q, new EnhancedDynamicPartitioner, Formation.DelayedSAvl)),
-    "DYNA" -> (q => new Sap(q, new DynamicPartitioner, Formation.DelayedSAvl)),
-    "EQUAL" -> (q => new Sap(q, EqualPartitioner.atMStar(q), Formation.DelayedSAvl)),
-    "minTopK" -> (q => new MinTopK(q)),
-    "k-skyband" -> (q => new KSkyband(q)),
-    "SMA" -> (q => new Sma(q)),
-    "brute" -> (q => new BruteForce(q)),
-  )
-
   private val dataCache = mutable.Map[(String, Int), Array[Event]]()
   private val runCache = mutable.Map[(String, String, Int, Int, Int, Int), RunMetrics]()
 
@@ -58,7 +26,7 @@ object Bench {
   private def warmup(): Unit = {
     val q = TopKQuery(400, 20, 4)
     val events = StreamData.TimeU.generate(4000)
-    algoFactories.foreach { case (name, f) =>
+    Evaluation.algorithms.foreach { case (name, f) =>
       SlideRunner.run(f, name, "warmup", events, q)
     }
     Seq(Formation.EagerExact, Formation.DelayedExact, Formation.DelayedSAvl).foreach { form =>
@@ -67,9 +35,13 @@ object Bench {
     }
   }
 
-  /** Measure one (algorithm, dataset, |D|, n, k, s) cell, memoized. */
-  def measure(algo: String, ds: String, size: Int, n: Int, k: Int, s: Int): RunMetrics =
-    measureWith(algo, algoFactories(algo), ds, size, n, k, s)
+  /** Measure one (algorithm, dataset, |D|, n, k, s) cell, memoized under
+    * the algorithm's canonical name.
+    */
+  def measure(algo: String, ds: String, size: Int, n: Int, k: Int, s: Int): RunMetrics = {
+    val key = Evaluation.canonical(algo)
+    measureWith(key, Evaluation.algorithms(key), ds, size, n, k, s)
+  }
 
   /** Hypervisor steal ticks from /proc/stat (this box runs on oversubscribed
     * cloud hardware; the host steals the CPU for seconds at a time and the
@@ -157,21 +129,4 @@ object Bench {
   def sec(m: RunMetrics): String = f"${m.seconds}%.2f"
   def cnt(m: RunMetrics): String = f"${m.avgCandidates}%.0f"
   def kb(m: RunMetrics): String = f"${m.memoryKb}%.1f"
-
-  /** The regular parameter grid of Tables 3/6/8: the n sweep, k sweep and
-    * s sweep around the default point (deduplicated by the run cache).
-    */
-  def regularGrid: Seq[(Int, Int, Int)] = {
-    val (n0, k0, s0) = RegDefault
-    (RegN.map(n => (n, k0, n / 100)) ++
-      RegK.map(k => (n0, k, s0)) ++
-      RegS(n0).map(s => (n0, k0, s))).distinct
-  }
-
-  def highGrid: Seq[(Int, Int, Int)] = {
-    val (n0, k0, s0) = HighDefault
-    (HighN.map(n => (n, k0, n / 50)) ++
-      HighK.map(k => (n0, k, s0)) ++
-      HighS(n0).map(s => (n0, k0, s))).distinct
-  }
 }

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.stream.StreamData
+import repro.stream.{Evaluation, StreamData}
 
 /** Table 2: running time of equal partitioning under different partition
   * resolutions m, comparing the non-delay policy, Algorithm 1 (delayed
@@ -14,7 +14,7 @@ import repro.stream.StreamData
   */
 class Table2Bench extends AnyFunSuite {
   private val ms = Seq(5, 9, 13, 17, 21, 25, 29, 33, 37)
-  private val (n, k, s) = Bench.RegDefault
+  private val (n, k, s) = Evaluation.RegDefault
 
   private val variants: Seq[(String, Formation)] = Seq(
     "non-delay" -> Formation.EagerExact,
@@ -34,13 +34,13 @@ class Table2Bench extends AnyFunSuite {
       val cells = ms.map { m =>
         val metrics = Bench.measureWith(key(vn, m),
           qq => new Sap(qq, new EqualPartitioner(m), form),
-          ds, Bench.RegularD, n, k, s)
+          ds, Evaluation.RegularD, n, k, s)
         Bench.sec(metrics)
       }
       Seq(ds, s"m*=$mStar", vn) ++ cells
     }
     Bench.printTable(
-      s"Table 2 — equal partitioning, running time (s); |D|=${Bench.RegularD} n=$n k=$k s=$s",
+      s"Table 2 — equal partitioning, running time (s); |D|=${Evaluation.RegularD} n=$n k=$k s=$s",
       Seq("dataset", "m*", "variant") ++ ms.map(m => s"m=$m"),
       rows)
   }
@@ -49,8 +49,8 @@ class Table2Bench extends AnyFunSuite {
     // digest check on one dataset per variant (full check would re-run all)
     for ((vn, form) <- variants; m <- Seq(5, 21, 37); ds <- Seq("STOCK", "TIMER")) {
       val a = Bench.measureWith(key(vn, m),
-        q => new Sap(q, new EqualPartitioner(m), form), ds, Bench.RegularD, n, k, s)
-      val b = Bench.measure("brute", ds, Bench.RegularD, n, k, s)
+        q => new Sap(q, new EqualPartitioner(m), form), ds, Evaluation.RegularD, n, k, s)
+      val b = Bench.measure("brute", ds, Evaluation.RegularD, n, k, s)
       assert(a.resultDigest == b.resultDigest, s"$vn m=$m diverged on $ds")
     }
   }
@@ -60,7 +60,7 @@ class Table2Bench extends AnyFunSuite {
       vn -> StreamData.all.map(_.name).flatMap { ds =>
         ms.map(m => Bench.measureWith(key(vn, m),
           q => new Sap(q, new EqualPartitioner(m), form),
-          ds, Bench.RegularD, n, k, s).seconds)
+          ds, Evaluation.RegularD, n, k, s).seconds)
       }.sum
     }.toMap
     assert(byVariant("Algo 1") < byVariant("non-delay"),

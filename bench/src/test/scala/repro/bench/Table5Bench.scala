@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.StreamData
+import repro.stream.{Evaluation, StreamData}
 
 /** Table 5: SAP vs MinTopK running time under high-speed streams
   * (large windows and slides — Appendix D).
@@ -13,40 +13,40 @@ class Table5Bench extends AnyFunSuite {
   private val algos = Seq("SAP", "minTopK")
 
   test("Table 5: high-speed running time, SAP vs MinTopK") {
-    val grid = Bench.highGrid
+    val grid = Evaluation.highGrid
     val rows = for {
       ds <- StreamData.all.map(_.name)
       algo <- algos
     } yield Seq(ds, algo) ++ grid.map { case (n, k, s) =>
-      Bench.sec(Bench.measure(algo, ds, Bench.HighD, n, k, s))
+      Bench.sec(Bench.measure(algo, ds, Evaluation.HighD, n, k, s))
     }
     Bench.printTable(
-      s"Table 5 — high-speed streams, running time (s); |D|=${Bench.HighD}",
-      Seq("dataset", "algo") ++ Bench.highGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
+      s"Table 5 — high-speed streams, running time (s); |D|=${Evaluation.HighD}",
+      Seq("dataset", "algo") ++ Evaluation.highGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
       rows)
   }
 
   test("Table 5 sanity: SAP and MinTopK agree on every high-speed cell") {
-    for (ds <- StreamData.all.map(_.name); (n, k, s) <- Bench.highGrid)
-      Bench.checkAgreement(algos, ds, Bench.HighD, n, k, s)
+    for (ds <- StreamData.all.map(_.name); (n, k, s) <- Evaluation.highGrid)
+      Bench.checkAgreement(algos, ds, Evaluation.HighD, n, k, s)
   }
 
   test("Table 5 shape: SAP wins overall; gap closes as s grows") {
-    val (n0, k0, _) = Bench.HighDefault
+    val (n0, k0, _) = Evaluation.HighDefault
     def total(algo: String): Double = (for {
       ds <- StreamData.all.map(_.name)
-      (n, k, s) <- Bench.highGrid
-    } yield Bench.measure(algo, ds, Bench.HighD, n, k, s).seconds).sum
+      (n, k, s) <- Evaluation.highGrid
+    } yield Bench.measure(algo, ds, Evaluation.HighD, n, k, s).seconds).sum
     val sap = total("SAP"); val mtk = total("minTopK")
     info(f"totals: SAP=$sap%.1fs minTopK=$mtk%.1fs")
     assert(sap < mtk, f"SAP ($sap%.1f) should beat minTopK ($mtk%.1f)")
     // Gap ratio at the smallest s should exceed the ratio at the largest s.
-    val sSmall = Bench.HighS(n0).head
-    val sBig = Bench.HighS(n0).last
+    val sSmall = Evaluation.HighS(n0).head
+    val sBig = Evaluation.HighS(n0).last
     def ratio(s: Int): Double = {
       val pairs = StreamData.all.map(_.name).map { ds =>
-        (Bench.measure("minTopK", ds, Bench.HighD, n0, k0, s).seconds,
-          Bench.measure("SAP", ds, Bench.HighD, n0, k0, s).seconds)
+        (Bench.measure("minTopK", ds, Evaluation.HighD, n0, k0, s).seconds,
+          Bench.measure("SAP", ds, Evaluation.HighD, n0, k0, s).seconds)
       }
       pairs.map(_._1).sum / pairs.map(_._2).sum
     }

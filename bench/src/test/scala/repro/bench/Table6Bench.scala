@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.StreamData
+import repro.stream.{Evaluation, StreamData}
 
 /** Table 6: average candidate-set sizes of SAP, MinTopK, and k-skyband
   * across the regular n, k, s sweeps (Appendix E).
@@ -10,40 +10,40 @@ class Table6Bench extends AnyFunSuite {
   private val algos = Seq("SAP", "minTopK", "k-skyband")
 
   test("Table 6: average candidates across n, k, s") {
-    val grid = Bench.regularGrid
+    val grid = Evaluation.regularGrid
     val rows = for {
       ds <- StreamData.all.map(_.name)
       algo <- algos
     } yield Seq(ds, algo) ++ grid.map { case (n, k, s) =>
-      Bench.cnt(Bench.measure(algo, ds, Bench.RegularD, n, k, s))
+      Bench.cnt(Bench.measure(algo, ds, Evaluation.RegularD, n, k, s))
     }
     Bench.printTable(
-      s"Table 6 — average candidate-set size; |D|=${Bench.RegularD}",
-      Seq("dataset", "algo") ++ Bench.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
+      s"Table 6 — average candidate-set size; |D|=${Evaluation.RegularD}",
+      Seq("dataset", "algo") ++ Evaluation.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
       rows)
   }
 
   test("Table 6 sanity: the three algorithms agree with brute force at defaults") {
-    val (n, k, s) = Bench.RegDefault
+    val (n, k, s) = Evaluation.RegDefault
     for (ds <- StreamData.all.map(_.name))
-      Bench.checkAgreement(algos :+ "brute", ds, Bench.RegularD, n, k, s)
+      Bench.checkAgreement(algos :+ "brute", ds, Evaluation.RegularD, n, k, s)
   }
 
   test("Table 6 shape: SAP < minTopK < k-skyband candidates overall") {
-    val grid = Bench.regularGrid
+    val grid = Evaluation.regularGrid
     def total(algo: String): Double = (for {
       ds <- StreamData.all.map(_.name)
       (n, k, s) <- grid
-    } yield Bench.measure(algo, ds, Bench.RegularD, n, k, s).avgCandidates).sum
+    } yield Bench.measure(algo, ds, Evaluation.RegularD, n, k, s).avgCandidates).sum
     val (sap, mtk, sky) = (total("SAP"), total("minTopK"), total("k-skyband"))
     info(f"avg-candidate totals: SAP=$sap%.0f minTopK=$mtk%.0f k-skyband=$sky%.0f")
     assert(sap < mtk && mtk < sky)
   }
 
   test("Table 6 shape: k-skyband degenerates to window scale on TIMER; SAP stays bounded") {
-    val (n, k, s) = Bench.RegDefault
-    val sky = Bench.measure("k-skyband", "TIMER", Bench.RegularD, n, k, s)
-    val sap = Bench.measure("SAP", "TIMER", Bench.RegularD, n, k, s)
+    val (n, k, s) = Evaluation.RegDefault
+    val sky = Bench.measure("k-skyband", "TIMER", Evaluation.RegularD, n, k, s)
+    val sap = Bench.measure("SAP", "TIMER", Evaluation.RegularD, n, k, s)
     info(f"TIMER avg candidates: k-skyband=${sky.avgCandidates}%.0f SAP=${sap.avgCandidates}%.0f (n=$n)")
     // TIMER's monotone descents make every window object a k-skyband: the
     // baseline's set reaches O(n) (>= 0.4n on average over the cycle).
@@ -51,8 +51,8 @@ class Table6Bench extends AnyFunSuite {
     // SAP's candidate set stays well below (paper: ~9x; at our n/k = 24
     // scale the gap is ~2.3x — it widens with n, see the n = 4800 column).
     assert(sky.avgCandidates > 2 * sap.avgCandidates)
-    val sky48 = Bench.measure("k-skyband", "TIMER", Bench.RegularD, 4800, k, 48)
-    val sap48 = Bench.measure("SAP", "TIMER", Bench.RegularD, 4800, k, 48)
+    val sky48 = Bench.measure("k-skyband", "TIMER", Evaluation.RegularD, 4800, k, 48)
+    val sap48 = Bench.measure("SAP", "TIMER", Evaluation.RegularD, 4800, k, 48)
     assert(sky48.avgCandidates > 2.5 * sap48.avgCandidates)
   }
 }

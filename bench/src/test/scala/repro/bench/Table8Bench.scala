@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.StreamData
+import repro.stream.{Evaluation, StreamData}
 
 /** Table 8: structural memory consumption of SAP, MinTopK, and k-skyband
   * across the regular sweeps (Appendix F; bytes model in DESIGN.md §6).
@@ -10,25 +10,25 @@ class Table8Bench extends AnyFunSuite {
   private val algos = Seq("SAP", "minTopK", "k-skyband")
 
   test("Table 8: memory consumption (KB) across n, k, s") {
-    val grid = Bench.regularGrid
+    val grid = Evaluation.regularGrid
     val rows = for {
       ds <- StreamData.all.map(_.name)
       algo <- algos
     } yield Seq(ds, algo) ++ grid.map { case (n, k, s) =>
-      Bench.kb(Bench.measure(algo, ds, Bench.RegularD, n, k, s))
+      Bench.kb(Bench.measure(algo, ds, Evaluation.RegularD, n, k, s))
     }
     Bench.printTable(
-      s"Table 8 — memory consumption (KB, structural model); |D|=${Bench.RegularD}",
-      Seq("dataset", "algo") ++ Bench.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
+      s"Table 8 — memory consumption (KB, structural model); |D|=${Evaluation.RegularD}",
+      Seq("dataset", "algo") ++ Evaluation.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
       rows)
   }
 
   test("Table 8 shape: SAP uses the least memory; k-skyband dominates on TIMER") {
-    val grid = Bench.regularGrid
+    val grid = Evaluation.regularGrid
     def total(algo: String): Double = (for {
       ds <- StreamData.all.map(_.name)
       (n, k, s) <- grid
-    } yield Bench.measure(algo, ds, Bench.RegularD, n, k, s).avgMemoryBytes).sum
+    } yield Bench.measure(algo, ds, Evaluation.RegularD, n, k, s).avgMemoryBytes).sum
     val (sap, mtk, sky) = (total("SAP"), total("minTopK"), total("k-skyband"))
     info(f"memory totals (MB): SAP=${sap / 1e6}%.1f minTopK=${mtk / 1e6}%.1f k-skyband=${sky / 1e6}%.1f")
     // The paper's full ordering SAP < minTopK < k-skyband relies on the
@@ -39,9 +39,9 @@ class Table8Bench extends AnyFunSuite {
     // minTopK's win over k-skyband comes from its per-slide top-k filter,
     // which bites when s is a large window fraction (as in the paper's
     // s-sweep): check the s = 10%n TIMER cell.
-    val (n, k, _) = Bench.RegDefault
-    val skyT = Bench.measure("k-skyband", "TIMER", Bench.RegularD, n, k, n / 10)
-    val mtkT = Bench.measure("minTopK", "TIMER", Bench.RegularD, n, k, n / 10)
+    val (n, k, _) = Evaluation.RegDefault
+    val skyT = Bench.measure("k-skyband", "TIMER", Evaluation.RegularD, n, k, n / 10)
+    val mtkT = Bench.measure("minTopK", "TIMER", Evaluation.RegularD, n, k, n / 10)
     assert(mtkT.avgMemoryBytes < skyT.avgMemoryBytes,
       s"minTopK (${mtkT.avgMemoryBytes}) should beat k-skyband (${skyT.avgMemoryBytes}) on TIMER at s=10%n")
   }

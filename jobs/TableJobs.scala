@@ -1,9 +1,8 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.baselines.{KSkyband, MinTopK, Sma}
 import repro.core._
-import repro.stream.{SlideRunner, StreamData}
+import repro.stream.{Evaluation, SlideRunner, StreamData}
 
 /** Shared driver for the per-table spark-submit entrypoints.
   *
@@ -18,16 +17,6 @@ object TableJobs {
 
   final case class Cell(ds: String, algo: String, size: Int, n: Int, k: Int, s: Int)
 
-  def factory(algo: String): TopKQuery => ContinuousTopK = algo match {
-    case "SAP" | "EN-DYNA" => q => new Sap(q, new EnhancedDynamicPartitioner, Formation.DelayedSAvl)
-    case "DYNA"            => q => new Sap(q, new DynamicPartitioner, Formation.DelayedSAvl)
-    case "EQUAL"           => q => new Sap(q, EqualPartitioner.atMStar(q), Formation.DelayedSAvl)
-    case "minTopK"         => q => new MinTopK(q)
-    case "k-skyband"       => q => new KSkyband(q)
-    case "SMA"             => q => new Sma(q)
-    case other             => throw new IllegalArgumentException(s"unknown algo $other")
-  }
-
   /** Distribute the cells over the cluster and print one line per cell. */
   def run(title: String, cells: Seq[Cell]): Unit = {
     val spark = SparkSession.builder
@@ -39,7 +28,7 @@ object TableJobs {
       .repartition(cells.size)
       .map { c =>
         val events = StreamData.byName(c.ds).generate(c.size)
-        val m = SlideRunner.run(factory(c.algo), c.algo, c.ds, events, TopKQuery(c.n, c.k, c.s))
+        val m = SlideRunner.run(Evaluation.factory(c.algo), c.algo, c.ds, events, TopKQuery(c.n, c.k, c.s))
         (c.ds, c.algo, c.n, c.k, c.s, m.seconds, m.avgCandidates, m.memoryKb)
       }
       .collect()
@@ -51,19 +40,6 @@ object TableJobs {
     }
     spark.stop()
   }
-
-  val RegularD = 120000
-  val HighD = 240000
-
-  def regularGrid: Seq[(Int, Int, Int)] =
-    (Seq(600, 1200, 2400, 4800).map(n => (n, 100, n / 100)) ++
-      Seq(10, 50, 100, 250, 500).map(k => (2400, k, 24)) ++
-      Seq(2, 24, 120, 240).map(s => (2400, 100, s))).distinct
-
-  def highGrid: Seq[(Int, Int, Int)] =
-    (Seq(24000, 48000, 72000, 96000, 120000).map(n => (n, 1000, n / 50)) ++
-      Seq(500, 1000, 2500, 5000).map(k => (48000, k, 960)) ++
-      Seq(48, 480, 960, 2400, 4800).map(s => (48000, 1000, s))).distinct
 
   def datasets: Seq[String] = StreamData.all.map(_.name)
 }
@@ -84,8 +60,9 @@ object Table2Job {
         case "Algo1"       => Formation.DelayedExact
         case _             => Formation.DelayedSAvl
       }
-      val events = StreamData.byName(ds).generate(TableJobs.RegularD)
-      val q = TopKQuery(2400, 100, 24)
+      val events = StreamData.byName(ds).generate(Evaluation.RegularD)
+      val (n, k, s) = Evaluation.RegDefault
+      val q = TopKQuery(n, k, s)
       val metrics = SlideRunner.run(qq => new Sap(qq, new EqualPartitioner(m), form), v, ds, events, q)
       (ds, v, m, metrics.seconds)
     }.collect().sortBy(r => (r._1, r._2, r._3))
@@ -101,8 +78,8 @@ object Table3Job {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("EN-DYNA", "DYNA", "EQUAL")
-      (n, k, s) <- TableJobs.regularGrid
-    } yield TableJobs.Cell(ds, algo, TableJobs.RegularD, n, k, s)
+      (n, k, s) <- Evaluation.regularGrid
+    } yield TableJobs.Cell(ds, algo, Evaluation.RegularD, n, k, s)
     TableJobs.run("Table 3: partitioners, running time", cells)
   }
 }
@@ -113,8 +90,8 @@ object Table5Job {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("SAP", "minTopK")
-      (n, k, s) <- TableJobs.highGrid
-    } yield TableJobs.Cell(ds, algo, TableJobs.HighD, n, k, s)
+      (n, k, s) <- Evaluation.highGrid
+    } yield TableJobs.Cell(ds, algo, Evaluation.HighD, n, k, s)
     TableJobs.run("Table 5: high-speed running time", cells)
   }
 }
@@ -125,8 +102,8 @@ object Table6Job {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("SAP", "minTopK", "k-skyband")
-      (n, k, s) <- TableJobs.regularGrid
-    } yield TableJobs.Cell(ds, algo, TableJobs.RegularD, n, k, s)
+      (n, k, s) <- Evaluation.regularGrid
+    } yield TableJobs.Cell(ds, algo, Evaluation.RegularD, n, k, s)
     TableJobs.run("Table 6: average candidates", cells)
   }
 }
@@ -137,8 +114,8 @@ object Table7Job {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("SAP", "minTopK")
-      (n, k, s) <- TableJobs.highGrid
-    } yield TableJobs.Cell(ds, algo, TableJobs.HighD, n, k, s)
+      (n, k, s) <- Evaluation.highGrid
+    } yield TableJobs.Cell(ds, algo, Evaluation.HighD, n, k, s)
     TableJobs.run("Table 7: high-speed average candidates", cells)
   }
 }
@@ -149,8 +126,8 @@ object Table8Job {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("SAP", "minTopK", "k-skyband")
-      (n, k, s) <- TableJobs.regularGrid
-    } yield TableJobs.Cell(ds, algo, TableJobs.RegularD, n, k, s)
+      (n, k, s) <- Evaluation.regularGrid
+    } yield TableJobs.Cell(ds, algo, Evaluation.RegularD, n, k, s)
     TableJobs.run("Table 8: memory consumption (KB)", cells)
   }
 }
@@ -161,8 +138,8 @@ object Table9Job {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("SAP", "minTopK")
-      (n, k, s) <- TableJobs.highGrid
-    } yield TableJobs.Cell(ds, algo, TableJobs.HighD, n, k, s)
+      (n, k, s) <- Evaluation.highGrid
+    } yield TableJobs.Cell(ds, algo, Evaluation.HighD, n, k, s)
     TableJobs.run("Table 9: high-speed memory consumption (KB)", cells)
   }
 }
@@ -173,7 +150,8 @@ object FigureJob {
     val cells = for {
       ds <- TableJobs.datasets
       algo <- Seq("SAP", "minTopK", "SMA", "k-skyband")
-    } yield TableJobs.Cell(ds, algo, TableJobs.RegularD, 2400, 100, 24)
+      (n, k, s) = Evaluation.RegDefault
+    } yield TableJobs.Cell(ds, algo, Evaluation.RegularD, n, k, s)
     TableJobs.run("Figures 9/10 shape: running time at defaults", cells)
   }
 }

@@ -1,7 +1,12 @@
 package repro.core
 
-/** A streaming object: arrival order `t` (1-based, strictly increasing) and
-  * preference score `score` (the paper's F(o)).
+/** A streaming object: arrival stamp `t` and preference score `score` (the
+  * paper's F(o)).
+  *
+  * Stamps must increase strictly along a stream. `Sap`, `MinTopK` and
+  * `BruteForce` need nothing more: they count arrivals themselves. The
+  * k-skyband and SMA baselines still expire by `t`, so they need `t` to
+  * equal the 1-based arrival index.
   *
   * Ordering everywhere in this codebase is by the composite key
   * (score, t): `a` beats `b` iff `a.score > b.score`, ties broken by later

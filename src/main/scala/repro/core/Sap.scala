@@ -23,7 +23,15 @@ object Formation {
   case object DelayedSAvl extends Formation
 }
 
-/** The SAP framework (§3, Algorithm 1).
+/** The SAP framework (§3, Algorithm 1) as a state machine over slides.
+  *
+  * The window is the last m slides and a unit is u whole slides. A slide
+  * may carry any number of objects, as in the time-based windows of
+  * Appendix A; a count-based query ⟨n, k, s⟩ is the case of exactly s
+  * objects per slide, m = n/s. Ring slots, partition and unit bounds and
+  * expiry cutoffs are positions in an internal arrival sequence (1, 2, 3,
+  * …); an object's stamp `t` serves only as the tie-breaking half of its
+  * (score, t) key, so stamps need only increase strictly.
   *
   * The window is partitioned into sub-windows built from units, as decided
   * by the pluggable [[Partitioner]]. Per finalized partition we retain the
@@ -35,19 +43,29 @@ object Formation {
   * configured [[Formation]] policy (Lemma 2 pruning). The per-slide answer
   * is the top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1).
   */
-final class Sap(
+final class Sap private[core] (
     val query: TopKQuery,
     val partitioner: Partitioner,
-    val formation: Formation = Formation.DelayedSAvl,
+    val formation: Formation,
+    windowSlides: Int,
+    unitSlides: Int,
+    fixedSlides: Boolean, // every slide holds exactly query.s objects
 ) extends ContinuousTopK {
-  import query.{k, n, s}
+  import query.k
 
-  private val unitSz = partitioner.unitSize(query)
-  require(unitSz % s == 0 && unitSz >= math.max(s, k) && unitSz <= n,
-    s"unit size $unitSz violates structural constraints (s=$s k=$k n=$n)")
+  /** Count-based window ⟨n, k, s⟩: m = n/s slides of exactly s objects and
+    * units of `partitioner.unitSize(query)` objects.
+    */
+  def this(query: TopKQuery, partitioner: Partitioner,
+           formation: Formation = Formation.DelayedSAvl) =
+    this(query, partitioner, formation, query.m, Sap.unitSlides(query, partitioner),
+      fixedSlides = true)
 
-  /** A finalized partition. */
-  private final class Part(val startT: Long, val endT: Long,
+  require(unitSlides >= 1 && unitSlides <= windowSlides,
+    s"a unit of $unitSlides slides does not fit a window of $windowSlides")
+
+  /** A finalized partition: arrival sequence numbers [startSeq, endSeq). */
+  private final class Part(val startSeq: Long, val endSeq: Long,
                            val topK: Array[Event],
                            val units: ArrayBuffer[UnitSummary]) extends Serializable {
     var meaningful: MeaningfulSet = _
@@ -55,49 +73,62 @@ final class Sap(
     def minTop: Event = topK(topK.length - 1)
   }
 
-  private val ring = new WindowRing(n)
+  private val ring = new WindowRing(query.n)
+  private val slideSizes = new Array[Int](windowSlides) // last m slides, at slide number mod m
   private val parts = new java.util.ArrayDeque[Part]()
   private val cand = new ScoreTree // C, with dominance counters
 
-  // Current (still growing) partition.
-  private var curStartT = 1L
+  // Current (still growing) partition; curSize == 0 when there is none.
+  private var curStartSeq = 1L
   private var curSize = 0
   private var curTop: Array[Event] = Array.empty // P_cur^k, best-first
   private var curUnits = new ArrayBuffer[UnitSummary]()
 
   // Current (still filling) unit.
-  private var unitStartT = 1L
-  private var unitFill = 0
+  private var unitStartSeq = 1L
+  private var unitFill = 0 // slides
   private var unitTop = new TopKBuffer(k)
 
   private val tbui: Tbui = if (partitioner.useTbui) new Tbui(k) else null
 
-  private var arrivals = 0L
+  private var slides = 0L
+  private var arrivals = 0L // sequence number of the latest arrival
+  private var expired = 0L // sequence number of the latest expired object
   private var formed = 0
 
   // ---------------------------------------------------------------- slides
 
   override def processSlide(events: Array[Event]): Option[Array[Event]] = {
-    require(events.length == s)
-    val cutoffNew = arrivals + s - n // post-slide window start − 1
+    require(!fixedSlides || events.length == query.s,
+      s"slide of ${events.length} events, expected s=${query.s}")
+    // The slot of the slide that leaves now takes the arriving slide's size.
+    val slot = (slides % windowSlides).toInt
+    val cutoffNew = if (slides >= windowSlides) expired + slideSizes(slot) else 0L
+    slideSizes(slot) = events.length
+    slides += 1
 
     // 1. Prepare the partition that starts draining this slide *before* its
     //    objects are overwritten in the ring or removed from C.
     var outgoing: Array[Event] = null
-    if (cutoffNew > 0) {
+    if (cutoffNew > expired) {
+      // With units of over half the window, the current partition can start
+      // draining before the next unit completes: finalize it now.
+      if (curSize > 0 && curStartSeq <= cutoffNew) finalizeCurrent()
       val front = parts.peekFirst()
-      if (front != null && !front.prepared && front.startT <= cutoffNew)
+      if (front != null && !front.prepared && front.startSeq <= cutoffNew)
         prepareFront(front)
-      val cutoffOld = math.max(0L, arrivals - n)
-      outgoing = new Array[Event]((cutoffNew - cutoffOld).toInt)
+      outgoing = new Array[Event]((cutoffNew - expired).toInt)
       var j = 0
-      var t = cutoffOld + 1
-      while (t <= cutoffNew) { outgoing(j) = ring.at(t); j += 1; t += 1 }
+      var seq = expired + 1
+      while (seq <= cutoffNew) { outgoing(j) = ring.at(seq); j += 1; seq += 1 }
     }
 
-    // 2. Process arrivals.
+    // 2. Process arrivals; a unit completes with its last slide.
+    ring.reserve((arrivals + events.length - cutoffNew).toInt)
     var i = 0
     while (i < events.length) { arrive(events(i)); i += 1 }
+    unitFill += 1
+    if (unitFill == unitSlides) completeUnit()
 
     // 3. Expiry bookkeeping.
     if (outgoing != null) {
@@ -109,13 +140,14 @@ final class Sap(
         j += 1
       }
       if (front != null && front.meaningful != null)
-        front.meaningful.expire(outgoing, cutoffNew)
-      while (!parts.isEmpty && parts.peekFirst().endT - 1 <= cutoffNew)
-        parts.pollFirst()
+        front.meaningful.expire(outgoing, outgoing(outgoing.length - 1).t)
+      expired = cutoffNew
     }
+    while (!parts.isEmpty && parts.peekFirst().endSeq - 1 <= expired)
+      parts.pollFirst()
 
     // 4. Answer.
-    if (arrivals < n) None else Some(answer())
+    if (slides < windowSlides) None else Some(answer())
   }
 
   private def arrive(e: Event): Unit = {
@@ -123,41 +155,41 @@ final class Sap(
     arrivals += 1
     unitTop.offer(e.score, e.t)
     if (tbui != null) tbui.onObject(e.score)
-    unitFill += 1
-    if (unitFill == unitSz) completeUnit(e.t)
   }
 
   // ----------------------------------------------------------------- units
 
-  private def completeUnit(lastT: Long): Unit = {
+  private def completeUnit(): Unit = {
+    val unitSize = (arrivals + 1 - unitStartSeq).toInt
     val topDesc = unitTop.toDescendingArray
     val summary =
-      if (tbui != null) tbui.completeUnit(topDesc, unitStartT, lastT + 1)
-      else new UnitSummary(unitStartT, lastT + 1, kUnit = true, topDesc)
+      if (tbui != null) tbui.completeUnit(topDesc, unitStartSeq, arrivals + 1)
+      else new UnitSummary(unitStartSeq, arrivals + 1, kUnit = true, topDesc)
 
     if (curSize == 0) {
-      adoptUnitAsNewPartition(topDesc, summary)
+      adoptUnitAsNewPartition(topDesc, summary, unitSize)
     } else {
       val mergedTop = mergeTop(curTop, topDesc, k)
-      val history = historyTopScores(curSize + unitSz)
+      val history = historyTopScores((curUnits.length + 1) * unitSlides)
       if (partitioner.join(query, curSize, mergedTop.map(_.score), history)) {
         curTop = mergedTop
-        curSize += unitSz
+        curSize += unitSize
         curUnits += summary
       } else {
         finalizeCurrent()
-        adoptUnitAsNewPartition(topDesc, summary)
+        adoptUnitAsNewPartition(topDesc, summary, unitSize)
       }
     }
     unitTop = new TopKBuffer(k)
     unitFill = 0
-    unitStartT = lastT + 1
+    unitStartSeq = arrivals + 1
   }
 
-  private def adoptUnitAsNewPartition(topDesc: Array[Event], summary: UnitSummary): Unit = {
-    curStartT = summary.startT
+  private def adoptUnitAsNewPartition(topDesc: Array[Event], summary: UnitSummary,
+                                      unitSize: Int): Unit = {
+    curStartSeq = summary.startT
     curTop = topDesc
-    curSize = unitSz
+    curSize = unitSize
     curUnits = new ArrayBuffer[UnitSummary]()
     curUnits += summary
   }
@@ -167,7 +199,7 @@ final class Sap(
     * candidates below each new one and removing those reaching k.
     */
   private def finalizeCurrent(): Unit = {
-    val p = new Part(curStartT, curStartT + curSize, curTop, curUnits)
+    val p = new Part(curStartSeq, curStartSeq + curSize, curTop, curUnits)
     val newAsc = p.topK.reverse
     val doomed = new ArrayBuffer[Event]()
     var j = 0
@@ -203,11 +235,14 @@ final class Sap(
     if (node == null) k else math.min(k, node.dom)
   }
 
-  /** Fθ (Lemma 2): k-th highest candidate score outside partition `p` —
-    * i.e. among C entries not from p, plus the current partition/unit tops
-    * (all of which arrived after p and therefore outlive it).
+  /** Fθ (Lemma 2): k-th highest candidate score outside the front
+    * partition `p` — i.e. among C entries not from p, plus the current
+    * partition/unit tops (all of which arrived after p and therefore
+    * outlive it). Earlier partitions have expired from C, so the entries
+    * not from p are those stamped after p's last object.
     */
   private def fThetaFor(p: Part): Double = {
+    val pLastT = ring.at(p.endSeq - 1).t
     val later = mergeTop(curTop, unitTop.toDescendingArray, k)
     var count = 0
     var kth = Double.NegativeInfinity
@@ -215,7 +250,7 @@ final class Sap(
     var done = false
     // co-walk C (descending, skipping p's own candidates) with `later`
     cand.foreachDescendingWhile { node =>
-      if (node.t < p.startT || node.t >= p.endT) {
+      if (node.t > pLastT) {
         while (count < k && li < later.length &&
                Event.gt(later(li).score, later(li).t, node.score, node.t)) {
           count += 1; kth = later(li).score; li += 1
@@ -244,7 +279,7 @@ final class Sap(
     if (partitioner.useTbui && formation == Formation.DelayedSAvl)
       ubsaScan(p, m, fTheta)
     else
-      scanRange(p, p.endT - 1, p.startT, m)
+      scanRange(p, p.endSeq - 1, p.startSeq, m)
     p.meaningful = m
     formed += 1
   }
@@ -256,25 +291,27 @@ final class Sap(
     */
   private def formEager(p: Part): Unit = {
     val m = new ExactSkybandSet(k, Double.NegativeInfinity)
-    scanRange(p, p.endT - 1, p.startT, m)
+    scanRange(p, p.endSeq - 1, p.startSeq, m)
     p.meaningful = m
     formed += 1
   }
 
-  /** Reverse-arrival-order scan of [lowT, highT] ⊆ `p` from the ring,
-    * feeding every object of P − P^k into `m`. Keys are unique, so an
-    * object of `p` is in P^k exactly when its key is at least min(P^k).
+  /** Reverse-arrival-order scan of sequence numbers [lowSeq, highSeq] ⊆ `p`
+    * from the ring, feeding every object of P − P^k into `m`. Keys are
+    * unique, so an object of `p` is in P^k exactly when its key is at least
+    * min(P^k).
     */
-  private def scanRange(p: Part, highT: Long, lowT: Long, m: MeaningfulSet): Unit = {
+  private def scanRange(p: Part, highSeq: Long, lowSeq: Long, m: MeaningfulSet): Unit = {
     val mn = p.minTop
-    ring.slot(lowT) // bounds check of the low end
-    var i = ring.slot(highT)
-    var t = highT
-    while (t >= lowT) {
+    ring.slot(lowSeq) // bounds check of the low end
+    var i = ring.slot(highSeq)
+    var seq = highSeq
+    while (seq >= lowSeq) {
       val score = ring.scoreAt(i)
+      val t = ring.tAt(i)
       if (Event.gt(mn.score, mn.t, score, t)) m.insert(score, t)
       i = ring.prevSlot(i)
-      t -= 1
+      seq -= 1
     }
   }
 
@@ -312,7 +349,9 @@ final class Sap(
 
   // --------------------------------------------------------------- answers
 
-  /** Top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1). */
+  /** Top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1); the whole window when
+    * it holds fewer than k objects.
+    */
   private def answer(): Array[Event] = {
     val out = new Array[Event](k)
     var filled = 0
@@ -341,8 +380,11 @@ final class Sap(
       if (ai < a.length && (best == null || Event.gt(a(ai).score, a(ai).t, best.score, best.t))) { best = a(ai); src = 1 }
       if (bi < b.length && (best == null || Event.gt(b(bi).score, b(bi).t, best.score, best.t))) { best = b(bi); src = 2 }
       if (mi < mArr.length && (best == null || Event.gt(mArr(mi).score, mArr(mi).t, best.score, best.t))) { best = mArr(mi); src = 3 }
-      if (best == null)
-        throw new IllegalStateException(s"candidate underflow: only $filled of $k results available")
+      if (best == null) {
+        if (arrivals - expired >= k)
+          throw new IllegalStateException(s"candidate underflow: only $filled of $k results available")
+        return java.util.Arrays.copyOf(out, filled)
+      }
       src match {
         case 0 => ci += 1
         case 1 => ai += 1
@@ -390,20 +432,32 @@ final class Sap(
   def partitionSizes: Seq[Int] = {
     val out = new ArrayBuffer[Int]()
     val it = parts.iterator()
-    while (it.hasNext) { val p = it.next(); out += (p.endT - p.startT).toInt }
+    while (it.hasNext) { val p = it.next(); out += (p.endSeq - p.startSeq).toInt }
     out.toSeq
   }
 
   // ---------------------------------------------------------------- helpers
 
-  /** Top-ηk candidate scores within the lookback interval I (§4.2). */
-  private def historyTopScores(pPrimeSize: Int): Array[Double] = {
-    val minT = arrivals - n + pPrimeSize + 1
+  /** Top-ηk candidate scores within the lookback interval I (§4.2): the
+    * window after this slide less the oldest `pPrimeSlides` slides, the
+    * span of P′ = P_cur ∪ U_cur.
+    */
+  private def historyTopScores(pPrimeSlides: Int): Array[Double] = {
+    // first sequence number of the newest m − |P′| slides
+    var minSeq = arrivals + 1
+    var j = 0L
+    while (j < windowSlides - pPrimeSlides && j < slides) {
+      minSeq -= slideSizes(((slides - 1 - j) % windowSlides).toInt)
+      j += 1
+    }
     val want = Wrt.etaK(k)
     val out = new ArrayBuffer[Double](want)
-    cand.foreachDescendingWhile { node =>
-      if (node.t >= minT) out += node.score
-      out.length < want
+    if (minSeq <= arrivals) {
+      val minT = ring.at(minSeq).t
+      cand.foreachDescendingWhile { node =>
+        if (node.t >= minT) out += node.score
+        out.length < want
+      }
     }
     out.toArray
   }
@@ -419,5 +473,17 @@ final class Sap(
       o += 1
     }
     out
+  }
+}
+
+object Sap {
+  /** Slides per unit of a count-based query; the unit must be a multiple
+    * of s, at least max(s, k) and at most n (§4).
+    */
+  private def unitSlides(q: TopKQuery, p: Partitioner): Int = {
+    val unitSz = p.unitSize(q)
+    require(unitSz % q.s == 0 && unitSz >= math.max(q.s, q.k) && unitSz <= q.n,
+      s"unit size $unitSz violates structural constraints (s=${q.s} k=${q.k} n=${q.n})")
+    unitSz / q.s
   }
 }

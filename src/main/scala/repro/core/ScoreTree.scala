@@ -3,14 +3,13 @@ package repro.core
 /** Mutable order-statistics AVL tree keyed by the composite (score, t).
   *
   * Every algorithm in this reproduction needs the same primitive: a sorted
-  * set of (score, arrival) pairs with O(log n) insert/delete/min/max, rank
-  * queries ("how many entries beat this key"), k-th-from-top selection, and
-  * in-order iteration. Nodes carry two client payloads used by the paper's
-  * structures:
+  * set of (score, arrival) pairs with O(log n) insert/delete/min, rank
+  * queries ("how many entries beat this key"), and in-order iteration.
+  * Nodes carry two client payloads used by the paper's structures:
   *
   *   - `dom`: the dominance counter D(o, C, W) of the merge-&-refine step
   *     (Fig. 4) and of the k-skyband baseline;
-  *   - `tag`: a free integer (partition id for SAP's candidate set).
+  *   - `tag`: a free integer (the stack index in the S-AVL tops index).
   *
   * Not thread-safe; used single-threaded inside one stream's state machine.
   */
@@ -116,10 +115,7 @@ final class ScoreTree extends Serializable {
     null
   }
 
-  def contains(score: Double, t: Long): Boolean = find(score, t) != null
-
   def minNode: Node = { var n = root; if (n == null) return null; while (n.left != null) n = n.left; n }
-  def maxNode: Node = { var n = root; if (n == null) return null; while (n.right != null) n = n.right; n }
 
   /** Greatest entry with key strictly less than (score, t), or null. */
   def lowerNode(score: Double, t: Long): Node = {
@@ -141,29 +137,9 @@ final class ScoreTree extends Serializable {
     cnt
   }
 
-  /** The i-th largest entry (1-based), or null if i > size. */
-  def kthLargest(i: Int): Node = {
-    if (i < 1 || i > size) return null
-    var n = root; var rank = i
-    while (true) {
-      val r = sz(n.right)
-      if (rank == r + 1) return n
-      if (rank <= r) n = n.right
-      else { rank -= r + 1; n = n.left }
-    }
-    null
-  }
-
   /** Remove and return the minimum entry, or null when empty. */
   def popMin(): Node = {
     val n = minNode
-    if (n != null) delete(n.score, n.t)
-    n
-  }
-
-  /** Remove and return the maximum entry, or null when empty. */
-  def popMax(): Node = {
-    val n = maxNode
     if (n != null) delete(n.score, n.t)
     n
   }
@@ -196,13 +172,6 @@ final class ScoreTree extends Serializable {
     ascW(n.right, f)
   }
 
-  /** All entries, ascending by key. */
-  def toAscendingArray: Array[Event] = {
-    val out = new Array[Event](size); var i = 0
-    foreachAscending { n => out(i) = n.event; i += 1 }
-    out
-  }
-
   /** All entries, descending by key. */
   def toDescendingArray: Array[Event] = {
     val out = new Array[Event](size); var i = 0
@@ -232,11 +201,5 @@ final class TopKBuffer(val k: Int) extends Serializable {
   }
 
   def size: Int = tree.size
-  def minNode: ScoreTree#Node = tree.minNode
-  def maxNode: ScoreTree#Node = tree.maxNode
-  def contains(score: Double, t: Long): Boolean = tree.contains(score, t)
-  def delete(score: Double, t: Long): Boolean = tree.delete(score, t)
   def toDescendingArray: Array[Event] = tree.toDescendingArray
-  def toAscendingArray: Array[Event] = tree.toAscendingArray
-  def clear(): Unit = tree.clear()
 }

@@ -4,7 +4,8 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Summary the TBUI algorithm keeps per unit in the list L_i (§4.3):
   * `top` holds U_v^k (best-first) while the unit is a (potential) k-unit,
-  * or just the top-1 after the unit is demoted to a non-k-unit.
+  * or just the top-1 after the unit is demoted to a non-k-unit. The bounds
+  * are arrival sequence numbers of the unit's objects, [startT, endT).
   */
 final class UnitSummary(
     val startT: Long,

@@ -1,11 +1,9 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Time-based sliding windows (Appendix A): the slide is a time interval,
   * so each slide carries a *variable* number of objects (possibly zero) and
-  * the window is the last `windowSlides` slides. Events keep globally
-  * unique, increasing arrival orders `t` for tie-breaking.
+  * the window is the last `windowSlides` slides. Event stamps `t` increase
+  * strictly across the stream; they break score ties.
   *
   * Protocol: call `processSlide` once per elapsed slide interval with the
   * batch of objects that arrived during it; after `windowSlides` calls each
@@ -33,12 +31,11 @@ final class TimeBasedBruteForce(val k: Int, val windowSlides: Int) extends TimeB
   }
 }
 
-/** SAP under time-based windows with equal partitioning (Appendix A): a
-  * partition is a fixed group of `slidesPerPartition` consecutive slides
-  * (so partitions align with slide expiry, as in the count-based case),
-  * with the same machinery — per-partition P^k, merge-&-refine candidate
-  * set with dominance counters, group dominance number ρ, and delayed
-  * exact meaningful-set formation.
+/** SAP under time-based windows (Appendix A): the [[Sap]] engine with a
+  * variable number of objects per slide, equal partitions of
+  * `slidesPerPartition` consecutive slides (so partitions align with slide
+  * expiry, as in the count-based case) and delayed exact meaningful-set
+  * formation. Windows holding fewer than k objects answer with all of them.
   */
 final class TimeBasedSap(val k: Int, val windowSlides: Int,
                          slidesPerPartitionOpt: Option[Int] = None) extends TimeBasedTopK {
@@ -46,119 +43,11 @@ final class TimeBasedSap(val k: Int, val windowSlides: Int,
     slidesPerPartitionOpt.getOrElse(
       math.max(1, math.ceil(windowSlides / math.ceil(math.sqrt(windowSlides.toDouble))).toInt))
 
-  private final class Part(val slides: ArrayBuffer[Array[Event]]) extends Serializable {
-    var topK: Array[Event] = _
-    var remaining: Int = slides.length // un-expired slides
-    var meaningful: MeaningfulSet = _
-    var prepared = false
-  }
+  // Of its query the engine uses k, and n as the ring's first capacity (the
+  // ring grows with the window); window and unit sizes are given in slides,
+  // and a partitioner whose units never join makes every unit a partition.
+  private val sap = new Sap(TopKQuery(k, k, k), new EqualPartitioner(1), Formation.DelayedExact,
+    windowSlides, slidesPerPartition, fixedSlides = false)
 
-  private val cand = new ScoreTree
-  private val parts = new java.util.ArrayDeque[Part]()
-  private var curSlides = new ArrayBuffer[Array[Event]]()
-  private var curTop = new TopKBuffer(k)
-  private var slidesSeen = 0L
-
-  override def processSlide(batch: Array[Event]): Option[Array[Event]] = {
-    // Prepare the partition that starts draining with this slide.
-    if (slidesSeen + 1 > windowSlides) {
-      val front = parts.peekFirst()
-      if (front != null && !front.prepared) prepareFront(front)
-    }
-
-    // Arrivals.
-    curSlides += batch
-    batch.foreach(e => curTop.offer(e.score, e.t))
-    slidesSeen += 1
-    if (curSlides.length == slidesPerPartition) finalizeCurrent()
-
-    // Expiry of the oldest slide once the window is full.
-    if (slidesSeen > windowSlides) {
-      val front = parts.peekFirst()
-      require(front != null && front.remaining > 0, "front accounting broke")
-      val idx = front.slides.length - front.remaining
-      val outgoing = front.slides(idx)
-      outgoing.foreach(e => cand.delete(e.score, e.t))
-      if (front.meaningful != null) {
-        val minT = if (outgoing.nonEmpty) outgoing.map(_.t).max else Long.MinValue
-        front.meaningful.expire(outgoing, minT)
-      }
-      front.remaining -= 1
-      if (front.remaining == 0) parts.pollFirst()
-    }
-
-    if (slidesSeen < windowSlides) None else Some(answer())
-  }
-
-  private def finalizeCurrent(): Unit = {
-    val p = new Part(curSlides)
-    p.topK = curTop.toDescendingArray
-    // merge-&-refine into C (Fig. 4)
-    val newAsc = p.topK.reverse
-    val doomed = new ArrayBuffer[Event]()
-    var j = 0
-    cand.foreachAscending { node =>
-      while (j < newAsc.length &&
-             !Event.gt(newAsc(j).score, newAsc(j).t, node.score, node.t)) j += 1
-      node.dom += newAsc.length - j
-      if (node.dom >= k) doomed += node.event
-    }
-    doomed.foreach(d => cand.delete(d.score, d.t))
-    newAsc.foreach(e => cand.insert(e.score, e.t, dom = 0))
-    parts.addLast(p)
-    curSlides = new ArrayBuffer[Array[Event]]()
-    curTop = new TopKBuffer(k)
-  }
-
-  private def prepareFront(p: Part): Unit = {
-    p.prepared = true
-    if (p.topK == null || p.topK.isEmpty) return
-    if (p.topK.length < k) {
-      // Every object of the partition is already a candidate: M is empty.
-      return
-    }
-    val mn = p.topK(p.topK.length - 1)
-    val node = cand.find(mn.score, mn.t)
-    val rho = if (node == null) k else math.min(k, node.dom)
-    if (rho >= k) return
-    // Fθ: k-th best candidate outside p (all later than p's objects except
-    // earlier partitions, which never co-exist with a draining p).
-    val inP = p.topK.map(_.t).toSet
-    var cnt = 0; var fTheta = Double.NegativeInfinity
-    cand.foreachDescendingWhile { n =>
-      if (!inP.contains(n.t)) { cnt += 1; fTheta = n.score }
-      cnt < k
-    }
-    if (cnt < k) {
-      curTop.toDescendingArray.foreach { e =>
-        if (cnt < k) { cnt += 1; fTheta = e.score }
-      }
-    }
-    if (cnt < k) fTheta = Double.NegativeInfinity
-    val m = new ExactSkybandSet(k - rho, fTheta)
-    // reverse arrival order over the partition's buffered slides
-    var si = p.slides.length - 1
-    while (si >= 0) {
-      val sl = p.slides(si)
-      var i = sl.length - 1
-      while (i >= 0) {
-        val e = sl(i)
-        if (!inP.contains(e.t)) m.insert(e.score, e.t)
-        i -= 1
-      }
-      si -= 1
-    }
-    p.meaningful = m
-  }
-
-  private def answer(): Array[Event] = {
-    val buf = new TopKBuffer(k)
-    var taken = 0
-    cand.foreachDescendingWhile { n => buf.offer(n.score, n.t); taken += 1; taken < k }
-    curTop.toDescendingArray.foreach(e => buf.offer(e.score, e.t))
-    val front = parts.peekFirst()
-    if (front != null && front.meaningful != null)
-      front.meaningful.collectTop(k).foreach(e => buf.offer(e.score, e.t))
-    buf.toDescendingArray
-  }
+  override def processSlide(batch: Array[Event]): Option[Array[Event]] = sap.processSlide(batch)
 }

@@ -45,25 +45,6 @@ object SparkTopK {
   private[spark] def runReplay(
       qid: Int, q: TopKQuery, events: Array[Event],
       factory: TopKQuery => ContinuousTopK,
-  ): Iterator[TopKRow] = {
-    val algo = factory(q)
-    val out = scala.collection.mutable.ArrayBuffer[TopKRow]()
-    val usable = (events.length / q.s) * q.s
-    var off = 0
-    var wid = 0L
-    while (off < usable) {
-      algo.processSlide(java.util.Arrays.copyOfRange(events, off, off + q.s)) match {
-        case Some(res) =>
-          wid += 1
-          var r = 0
-          while (r < res.length) {
-            out += TopKRow(qid, wid, r + 1, res(r).t, res(r).score)
-            r += 1
-          }
-        case None =>
-      }
-      off += q.s
-    }
-    out.iterator
-  }
+  ): Iterator[TopKRow] =
+    new StreamState(factory(q), Array.empty, 0L).advance(qid, events)
 }

@@ -13,7 +13,35 @@ final class StreamState(
     val algo: ContinuousTopK,
     var pending: Array[Event],
     var wid: Long,
-) extends Serializable
+) extends Serializable {
+
+  /** Append `chunk` (sorted by t) to the pending events, drive every whole
+    * slide through `algo` and keep the remainder pending. Returns one row
+    * per (completed window, rank).
+    */
+  def advance(qid: Int, chunk: Array[Event]): Iterator[TopKRow] = {
+    val s = algo.query.s
+    val all = if (pending.isEmpty) chunk else pending ++ chunk
+    val usable = (all.length / s) * s
+    val out = scala.collection.mutable.ArrayBuffer[TopKRow]()
+    var off = 0
+    while (off < usable) {
+      algo.processSlide(java.util.Arrays.copyOfRange(all, off, off + s)) match {
+        case Some(res) =>
+          wid += 1
+          var r = 0
+          while (r < res.length) {
+            out += TopKRow(qid, wid, r + 1, res(r).t, res(r).score)
+            r += 1
+          }
+        case None =>
+      }
+      off += s
+    }
+    pending = java.util.Arrays.copyOfRange(all, usable, all.length)
+    out.iterator
+  }
+}
 
 /** The Structured Streaming form of the continuous top-k operator: a
   * `flatMapGroupsWithState` stateful windowed operator. Each micro-batch
@@ -44,26 +72,9 @@ object StructuredTopK {
             else new StreamState(factory(q), Array.empty, 0L)
           val incoming = rows.map { case (_, t, s) => Event(t, s) }.toArray
           java.util.Arrays.sort(incoming, Ordering.by[Event, Long](_.t))
-          val all = st.pending ++ incoming
-          val usable = (all.length / q.s) * q.s
-          val out = scala.collection.mutable.ArrayBuffer[TopKRow]()
-          var off = 0
-          while (off < usable) {
-            st.algo.processSlide(java.util.Arrays.copyOfRange(all, off, off + q.s)) match {
-              case Some(res) =>
-                st.wid += 1
-                var r = 0
-                while (r < res.length) {
-                  out += TopKRow(qid, st.wid, r + 1, res(r).t, res(r).score)
-                  r += 1
-                }
-              case None =>
-            }
-            off += q.s
-          }
-          st.pending = java.util.Arrays.copyOfRange(all, usable, all.length)
+          val out = st.advance(qid, incoming)
           state.update(serialize(st))
-          out.iterator
+          out
       }
       .toDF()
   }

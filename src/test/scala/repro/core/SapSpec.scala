@@ -66,6 +66,40 @@ class SapSpec extends AnyFunSuite {
     }
   }
 
+  // Stamps t = 10·i: SAP keys objects by (score, t) but indexes its window
+  // by arrival sequence, so gapped stamps must give the same answers.
+  for {
+    ds <- StreamData.all
+    (pn, pf) <- Seq[(String, TopKQuery => Partitioner)](
+      "EN-DYNA" -> (_ => new EnhancedDynamicPartitioner),
+      "DYNA" -> (_ => new DynamicPartitioner),
+      "EQUAL" -> (q => EqualPartitioner.atMStar(q)))
+    (fn, form) <- formations
+  } test(s"SAP[$pn,$fn] == brute force on ${ds.name} with gapped stamps t=10i n=600 k=20 s=6") {
+    val events = ds.generate(12000).map(e => Event(10 * e.t, e.score))
+    SlideRunner.runAllChecked(
+      Seq(
+        "brute" -> (qq => new BruteForce(qq)),
+        "sap" -> (qq => new Sap(qq, pf(qq), form)),
+      ),
+      ds.name, events, TopKQuery(600, 20, 6))
+  }
+
+  // A unit of over half the window: the current partition starts draining
+  // before the next unit completes.
+  for {
+    ds <- StreamData.all
+    (m, n) <- Seq((1, 200), (2, 210))
+    (fn, form) <- formations
+  } test(s"SAP[EQUAL(m=$m),$fn] == brute force on ${ds.name} with units over half the window n=$n k=5 s=10") {
+    SlideRunner.runAllChecked(
+      Seq(
+        "brute" -> (qq => new BruteForce(qq)),
+        "sap" -> (qq => new Sap(qq, new EqualPartitioner(m), form)),
+      ),
+      ds.name, ds.generate(3000), TopKQuery(n, 5, 10))
+  }
+
   test("SAP |C ∪ M0| stays within the §4.1 bound under equal partitioning at m*") {
     for (ds <- StreamData.all) {
       val q = TopKQuery(n = 1000, k = 20, s = 10)

@@ -10,7 +10,7 @@ class TbuiSpec extends AnyFunSuite {
   private def drive(scores: Array[Double], k: Int, lmin: Int): ArrayBuffer[UnitSummary] = {
     val tbui = new Tbui(k)
     val out = new ArrayBuffer[UnitSummary]()
-    val top = new TopKBuffer(k)
+    var top = new TopKBuffer(k)
     var fill = 0
     var start = 1L
     scores.zipWithIndex.foreach { case (s, i) =>
@@ -20,7 +20,7 @@ class TbuiSpec extends AnyFunSuite {
       fill += 1
       if (fill == lmin) {
         out += tbui.completeUnit(top.toDescendingArray, start, t + 1)
-        top.clear(); fill = 0; start = t + 1
+        top = new TopKBuffer(k); fill = 0; start = t + 1
       }
     }
     out

@@ -56,6 +56,13 @@ class TimeBasedSpec extends AnyFunSuite {
       compare(k = 6, w = 12, randomSlides(180, 25, 42), Some(spp))
   }
 
+  test("gapped stamps t=10i on random variable-rate streams, every slides-per-partition setting") {
+    def gapped(slides: Array[Array[Event]]) = slides.map(_.map(e => Event(10 * e.t, e.score)))
+    for (seed <- 1 to 8) compare(k = 5, w = 12, gapped(randomSlides(200, 30, seed)))
+    for (spp <- Seq(1, 2, 3, 6, 12))
+      compare(k = 6, w = 12, gapped(randomSlides(180, 25, 42)), Some(spp))
+  }
+
   test("bursty rates (heavy slides after quiet ones)") {
     val rnd = new Random(9)
     var t = 0L

@@ -11,6 +11,20 @@ import repro.stream.StreamData
   */
 class StructuredTopKSpec extends SparkSpec {
 
+  // Each query here is one group, so every micro-batch would otherwise
+  // schedule the shared SparkSession's 64 mostly empty state-store partitions.
+  private var sharedShufflePartitions: String = _
+
+  override def beforeAll(): Unit = {
+    super.beforeAll()
+    sharedShufflePartitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "4")
+  }
+
+  override def afterAll(): Unit =
+    try spark.conf.set("spark.sql.shuffle.partitions", sharedShufflePartitions)
+    finally super.afterAll()
+
   private def factory: TopKQuery => ContinuousTopK =
     q => new Sap(q, new EnhancedDynamicPartitioner, Formation.DelayedSAvl)
 

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.{Evaluation, StreamData}
+import repro.stream.{Evaluation, Tables}
 
 /** Bonus (Figures 9/10 shape, not a table): SAP vs SMA vs k-skyband vs
   * MinTopK running time at the default parameters. SMA appears only in the
@@ -10,27 +10,17 @@ import repro.stream.{Evaluation, StreamData}
   * (SAP < minTopK < SMA < k-skyband on most datasets) can be eyeballed.
   */
 class FigureBench extends AnyFunSuite {
-  private val algos = Seq("SAP", "minTopK", "SMA", "k-skyband")
+  private val algos = Tables.figure.rows.map(_.label)
   private val (n, k, s) = Evaluation.RegDefault
 
-  test("Figure 9/10 shape: running time of all four algorithms at defaults") {
-    val rows = for (ds <- StreamData.all.map(_.name)) yield {
-      Seq(ds) ++ algos.map(a => Bench.sec(Bench.measure(a, ds, Evaluation.RegularD, n, k, s)))
-    }
-    Bench.printTable(
-      s"Figures 9/10 (shape) — running time (s) at n=$n k=$k s=$s; |D|=${Evaluation.RegularD}",
-      Seq("dataset") ++ algos,
-      rows)
-  }
-
   test("all four algorithms agree with brute force at defaults") {
-    for (ds <- StreamData.all.map(_.name))
+    for (ds <- Tables.datasets)
       Bench.checkAgreement(algos :+ "brute", ds, Evaluation.RegularD, n, k, s)
   }
 
   test("SAP beats the one-pass baselines; stays competitive with SMA") {
     def total(algo: String): Double =
-      StreamData.all.map(ds => Bench.measure(algo, ds.name, Evaluation.RegularD, n, k, s).seconds).sum
+      Tables.datasets.map(ds => Bench.measure(algo, ds, Evaluation.RegularD, n, k, s).seconds).sum
     val totals = algos.map(a => a -> total(a)).toMap
     info(totals.map { case (a, t) => f"$a=$t%.2fs" }.mkString(" "))
     assert(totals("SAP") < totals("minTopK"))

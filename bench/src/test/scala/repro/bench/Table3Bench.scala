@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.{Evaluation, StreamData}
+import repro.stream.{Evaluation, Tables}
 
 /** Table 3: running time of the enhanced dynamic, dynamic, and equal
   * partitioning algorithms across the n, k, and s sweeps.
@@ -10,36 +10,18 @@ import repro.stream.{Evaluation, StreamData}
   * Ours: |D| = 120k with n ∈ 0.5%–4%, k ∈ 10–500, s ∈ 0.1%–10% n.
   */
 class Table3Bench extends AnyFunSuite {
-  private val algos = Seq("EN-DYNA", "DYNA", "EQUAL")
-
-  test("Table 3: partitioning algorithms across n, k, s") {
-    val grid = Evaluation.regularGrid
-    val rows = for {
-      ds <- StreamData.all.map(_.name)
-      algo <- algos
-    } yield {
-      val cells = grid.map { case (n, k, s) =>
-        Bench.sec(Bench.measure(algo, ds, Evaluation.RegularD, n, k, s))
-      }
-      Seq(ds, algo) ++ cells
-    }
-    Bench.printTable(
-      s"Table 3 — partitioners, running time (s); |D|=${Evaluation.RegularD}",
-      Seq("dataset", "algo") ++ Evaluation.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
-      rows)
-  }
+  private val algos = Tables.table3.rows.map(_.label)
 
   test("Table 3 sanity: all three partitioners agree with brute force at defaults") {
     val (n, k, s) = Evaluation.RegDefault
-    for (ds <- StreamData.all.map(_.name))
+    for (ds <- Tables.datasets)
       Bench.checkAgreement(algos :+ "brute", ds, Evaluation.RegularD, n, k, s)
   }
 
   test("Table 3 shape: dynamic partitioning stays competitive with equal overall") {
-    val grid = Evaluation.regularGrid
     def total(algo: String): Double = (for {
-      ds <- StreamData.all.map(_.name)
-      (n, k, s) <- grid
+      ds <- Tables.datasets
+      (n, k, s) <- Tables.table3.grid
     } yield Bench.measure(algo, ds, Evaluation.RegularD, n, k, s).seconds).sum
     val (en, dy, eq) = (total("EN-DYNA"), total("DYNA"), total("EQUAL"))
     info(f"totals: EN-DYNA=$en%.1fs DYNA=$dy%.1fs EQUAL=$eq%.1fs")

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.{Evaluation, StreamData}
+import repro.stream.{Evaluation, Tables}
 
 /** Table 5: SAP vs MinTopK running time under high-speed streams
   * (large windows and slides — Appendix D).
@@ -10,31 +10,17 @@ import repro.stream.{Evaluation, StreamData}
   * Ours: |D| = 240k with n ∈ 10–50%, k ∈ 500–5000, s ∈ 0.1–10% n.
   */
 class Table5Bench extends AnyFunSuite {
-  private val algos = Seq("SAP", "minTopK")
-
-  test("Table 5: high-speed running time, SAP vs MinTopK") {
-    val grid = Evaluation.highGrid
-    val rows = for {
-      ds <- StreamData.all.map(_.name)
-      algo <- algos
-    } yield Seq(ds, algo) ++ grid.map { case (n, k, s) =>
-      Bench.sec(Bench.measure(algo, ds, Evaluation.HighD, n, k, s))
-    }
-    Bench.printTable(
-      s"Table 5 — high-speed streams, running time (s); |D|=${Evaluation.HighD}",
-      Seq("dataset", "algo") ++ Evaluation.highGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
-      rows)
-  }
+  private val algos = Tables.table5.rows.map(_.label)
 
   test("Table 5 sanity: SAP and MinTopK agree on every high-speed cell") {
-    for (ds <- StreamData.all.map(_.name); (n, k, s) <- Evaluation.highGrid)
+    for (ds <- Tables.datasets; (n, k, s) <- Evaluation.highGrid)
       Bench.checkAgreement(algos, ds, Evaluation.HighD, n, k, s)
   }
 
   test("Table 5 shape: SAP wins overall; gap closes as s grows") {
     val (n0, k0, _) = Evaluation.HighDefault
     def total(algo: String): Double = (for {
-      ds <- StreamData.all.map(_.name)
+      ds <- Tables.datasets
       (n, k, s) <- Evaluation.highGrid
     } yield Bench.measure(algo, ds, Evaluation.HighD, n, k, s).seconds).sum
     val sap = total("SAP"); val mtk = total("minTopK")
@@ -44,7 +30,7 @@ class Table5Bench extends AnyFunSuite {
     val sSmall = Evaluation.HighS(n0).head
     val sBig = Evaluation.HighS(n0).last
     def ratio(s: Int): Double = {
-      val pairs = StreamData.all.map(_.name).map { ds =>
+      val pairs = Tables.datasets.map { ds =>
         (Bench.measure("minTopK", ds, Evaluation.HighD, n0, k0, s).seconds,
           Bench.measure("SAP", ds, Evaluation.HighD, n0, k0, s).seconds)
       }

@@ -1,39 +1,24 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.{Evaluation, StreamData}
+import repro.stream.{Evaluation, Tables}
 
 /** Table 6: average candidate-set sizes of SAP, MinTopK, and k-skyband
   * across the regular n, k, s sweeps (Appendix E).
   */
 class Table6Bench extends AnyFunSuite {
-  private val algos = Seq("SAP", "minTopK", "k-skyband")
-
-  test("Table 6: average candidates across n, k, s") {
-    val grid = Evaluation.regularGrid
-    val rows = for {
-      ds <- StreamData.all.map(_.name)
-      algo <- algos
-    } yield Seq(ds, algo) ++ grid.map { case (n, k, s) =>
-      Bench.cnt(Bench.measure(algo, ds, Evaluation.RegularD, n, k, s))
-    }
-    Bench.printTable(
-      s"Table 6 — average candidate-set size; |D|=${Evaluation.RegularD}",
-      Seq("dataset", "algo") ++ Evaluation.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
-      rows)
-  }
+  private val algos = Tables.table6.rows.map(_.label)
 
   test("Table 6 sanity: the three algorithms agree with brute force at defaults") {
     val (n, k, s) = Evaluation.RegDefault
-    for (ds <- StreamData.all.map(_.name))
+    for (ds <- Tables.datasets)
       Bench.checkAgreement(algos :+ "brute", ds, Evaluation.RegularD, n, k, s)
   }
 
   test("Table 6 shape: SAP < minTopK < k-skyband candidates overall") {
-    val grid = Evaluation.regularGrid
     def total(algo: String): Double = (for {
-      ds <- StreamData.all.map(_.name)
-      (n, k, s) <- grid
+      ds <- Tables.datasets
+      (n, k, s) <- Tables.table6.grid
     } yield Bench.measure(algo, ds, Evaluation.RegularD, n, k, s).avgCandidates).sum
     val (sap, mtk, sky) = (total("SAP"), total("minTopK"), total("k-skyband"))
     info(f"avg-candidate totals: SAP=$sap%.0f minTopK=$mtk%.0f k-skyband=$sky%.0f")

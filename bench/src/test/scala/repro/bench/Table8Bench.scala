@@ -1,33 +1,16 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.stream.{Evaluation, StreamData}
+import repro.stream.{Evaluation, Tables}
 
 /** Table 8: structural memory consumption of SAP, MinTopK, and k-skyband
   * across the regular sweeps (Appendix F; bytes model in DESIGN.md §6).
   */
 class Table8Bench extends AnyFunSuite {
-  private val algos = Seq("SAP", "minTopK", "k-skyband")
-
-  test("Table 8: memory consumption (KB) across n, k, s") {
-    val grid = Evaluation.regularGrid
-    val rows = for {
-      ds <- StreamData.all.map(_.name)
-      algo <- algos
-    } yield Seq(ds, algo) ++ grid.map { case (n, k, s) =>
-      Bench.kb(Bench.measure(algo, ds, Evaluation.RegularD, n, k, s))
-    }
-    Bench.printTable(
-      s"Table 8 — memory consumption (KB, structural model); |D|=${Evaluation.RegularD}",
-      Seq("dataset", "algo") ++ Evaluation.regularGrid.map { case (n, k, s) => s"n=$n,k=$k,s=$s" },
-      rows)
-  }
-
   test("Table 8 shape: SAP uses the least memory; k-skyband dominates on TIMER") {
-    val grid = Evaluation.regularGrid
     def total(algo: String): Double = (for {
-      ds <- StreamData.all.map(_.name)
-      (n, k, s) <- grid
+      ds <- Tables.datasets
+      (n, k, s) <- Tables.table8.grid
     } yield Bench.measure(algo, ds, Evaluation.RegularD, n, k, s).avgMemoryBytes).sum
     val (sap, mtk, sky) = (total("SAP"), total("minTopK"), total("k-skyband"))
     info(f"memory totals (MB): SAP=${sap / 1e6}%.1f minTopK=${mtk / 1e6}%.1f k-skyband=${sky / 1e6}%.1f")

@@ -18,22 +18,19 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class KSkyband(val query: TopKQuery) extends ContinuousTopK {
   private val cand = new ScoreTree
-  // Candidates in arrival order, for O(1) expiry; entries pruned from the
-  // tree are skipped lazily when they reach the front.
+  // The window's objects in arrival order, for O(1) expiry; entries pruned
+  // from the tree are skipped lazily when they reach the front.
   private val fifo = new java.util.ArrayDeque[Event]()
-  private var arrivals = 0L
 
   override def processSlide(events: Array[Event]): Option[Array[Event]] = {
     require(events.length == query.s)
     var i = 0
     while (i < events.length) { arrive(events(i)); i += 1 }
-    arrivals += events.length
-    val cutoff = arrivals - query.n // entries with t <= cutoff are expired
-    while (!fifo.isEmpty && fifo.peekFirst().t <= cutoff) {
+    while (fifo.size > query.n) {
       val e = fifo.pollFirst()
       cand.delete(e.score, e.t) // may be absent if already pruned
     }
-    if (arrivals < query.n) None
+    if (fifo.size < query.n) None
     else {
       val out = new Array[Event](query.k)
       var j = 0

@@ -19,16 +19,19 @@ import scala.collection.mutable.ArrayBuffer
   * re-scans whenever scores trend downward (TIMER), and a grid maintenance
   * cost independent of s.
   */
-final class Sma(val query: TopKQuery, buckets: Int = 1024) extends ContinuousTopK {
-  import query.{k, n, s}
+final class Sma(val query: TopKQuery) extends ContinuousTopK {
+  import query.{k, m, n, s}
   private val kmax = 2 * k
+  private val buckets = 1024 // cells of the score grid
 
   private val cand = new ScoreTree
   private val grid = Array.fill(buckets)(new ArrayBuffer[Event]())
   private var gridEntries = 0L
   private var lo = Double.NaN
   private var hi = Double.NaN
-  private var arrivals = 0L
+  // Last stamp of each of the window's m slides, at slide number mod m.
+  private val slideEnds = new Array[Long](m)
+  private var slides = 0L
   private var rescanCount = 0L
 
   /** Number of grid-guided re-scans performed (test observability). */
@@ -50,12 +53,16 @@ final class Sma(val query: TopKQuery, buckets: Int = 1024) extends ContinuousTop
     }
     var i = 0
     while (i < events.length) { arrive(events(i)); i += 1 }
-    arrivals += events.length
-    val cutoff = arrivals - n
-    if (cutoff > 0) expire(cutoff)
+    // Objects stamped up to `cutoff` have left the window: the slide that
+    // arrived m slides ago, if any, leaves it now.
+    val slot = (slides % m).toInt
+    val cutoff = if (slides >= m) slideEnds(slot) else Long.MinValue
+    slideEnds(slot) = events(s - 1).t
+    slides += 1
+    if (slides > m) expire(cutoff)
     // Amortized grid compaction: drop expired entries once per window span.
     if (gridEntries > 2L * n) compact(cutoff)
-    if (arrivals < n) None
+    if (slides < m) None
     else {
       if (cand.size < k) { rescan(cutoff); rescanCount += 1 }
       val out = new Array[Event](k)

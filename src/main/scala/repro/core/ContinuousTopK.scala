@@ -32,4 +32,39 @@ object ContinuousTopK {
   val TreeNodeBytes  = 48L // key (16) + 2 child refs + height/size/dom/tag
   val HeapSlotBytes  = 16L // (score, t) slot in a primitive heap array
   val StackSlotBytes = 24L // (score, t) + back-reference in an S-AVL stack
+
+  /** Cuts `events` into whole slides of `algo.query.s`, feeds them to
+    * `algo` in order and passes each slide's answer to `f`; returns the
+    * number of events fed (the rest is a partial slide).
+    *
+    * `SlideRunner` and the Spark operators feed every stream through here,
+    * so it also enforces the input contract: a NaN score or a stamp not
+    * above the one before it (`lastT` before the first event) throws an
+    * IllegalArgumentException naming `query`, the window the event first
+    * belongs to (`wid` windows were answered before `events`) and the
+    * stamp. The slides before the offending one are fed.
+    */
+  def feed(algo: ContinuousTopK, events: Array[Event], lastT: Long,
+           query: String, wid: Long)(f: Option[Array[Event]] => Unit): Int = {
+    val s = algo.query.s
+    val usable = (events.length / s) * s
+    var last = lastT
+    var windows = wid
+    var off = 0
+    while (off < usable) {
+      var i = off
+      while (i < off + s) {
+        val e = events(i)
+        require(!e.score.isNaN, s"$query, window ${windows + 1}: NaN score at stamp ${e.t}")
+        require(e.t > last, s"$query, window ${windows + 1}: stamp ${e.t} does not follow stamp $last")
+        last = e.t
+        i += 1
+      }
+      val res = algo.processSlide(java.util.Arrays.copyOfRange(events, off, off + s))
+      if (res.isDefined) windows += 1
+      f(res)
+      off += s
+    }
+    usable
+  }
 }

@@ -3,10 +3,11 @@ package repro.core
 /** A streaming object: arrival stamp `t` and preference score `score` (the
   * paper's F(o)).
   *
-  * Stamps must increase strictly along a stream. `Sap`, `MinTopK` and
-  * `BruteForce` need nothing more: they count arrivals themselves. The
-  * k-skyband and SMA baselines still expire by `t`, so they need `t` to
-  * equal the 1-based arrival index.
+  * Stamps must increase strictly along a stream, and scores must not be
+  * NaN; every algorithm needs nothing more, since each counts arrivals
+  * itself and uses `t` only to order and tell apart objects. `SlideRunner`
+  * and the Spark operators feed streams through `ContinuousTopK.feed`,
+  * which rejects anything else.
   *
   * Ordering everywhere in this codebase is by the composite key
   * (score, t): `a` beats `b` iff `a.score > b.score`, ties broken by later

@@ -3,8 +3,10 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import repro.core.{ContinuousTopK, Event, TopKQuery}
 
-/** One emitted result row: window `wid` (1-based; window `wid` covers
-  * arrivals t ∈ [(wid−1)·s + 1, (wid−1)·s + n]) and the rank-th best event.
+/** One emitted result row: window `wid` and its rank-th best event, with
+  * the event's own stamp `t`. Window `wid` (1-based) holds the query's
+  * arrivals number (wid−1)·s + 1 to (wid−1)·s + n, counted in stamp order;
+  * stamps equal these numbers only when they run 1, 2, 3, ….
   */
 final case class TopKRow(queryId: Int, wid: Long, rank: Int, t: Long, score: Double)
 

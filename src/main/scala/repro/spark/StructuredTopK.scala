@@ -6,39 +6,38 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
 import repro.core.{ContinuousTopK, Event, TopKQuery}
 
 /** Per-query operator state carried between micro-batches: the algorithm's
-  * full state machine plus the partial-slide buffer (micro-batches need not
-  * align with slide boundaries) and the running window counter.
+  * full state machine, the partial-slide buffer (micro-batches need not
+  * align with slide boundaries), the running window counter and the stamp
+  * of the last event fed, so that a late or repeated event in a later
+  * micro-batch is rejected (DESIGN.md §7).
   */
 final class StreamState(
     val algo: ContinuousTopK,
     var pending: Array[Event],
     var wid: Long,
 ) extends Serializable {
+  var lastT: Long = Long.MinValue
 
   /** Append `chunk` (sorted by t) to the pending events, drive every whole
     * slide through `algo` and keep the remainder pending. Returns one row
-    * per (completed window, rank).
+    * per (completed window, rank). Throws IllegalArgumentException on a
+    * NaN score or a stamp not above the previous one.
     */
   def advance(qid: Int, chunk: Array[Event]): Iterator[TopKRow] = {
-    val s = algo.query.s
     val all = if (pending.isEmpty) chunk else pending ++ chunk
-    val usable = (all.length / s) * s
     val out = scala.collection.mutable.ArrayBuffer[TopKRow]()
-    var off = 0
-    while (off < usable) {
-      algo.processSlide(java.util.Arrays.copyOfRange(all, off, off + s)) match {
-        case Some(res) =>
-          wid += 1
-          var r = 0
-          while (r < res.length) {
-            out += TopKRow(qid, wid, r + 1, res(r).t, res(r).score)
-            r += 1
-          }
-        case None =>
-      }
-      off += s
+    val used = ContinuousTopK.feed(algo, all, lastT, s"query $qid", wid) {
+      case Some(res) =>
+        wid += 1
+        var r = 0
+        while (r < res.length) {
+          out += TopKRow(qid, wid, r + 1, res(r).t, res(r).score)
+          r += 1
+        }
+      case None =>
     }
-    pending = java.util.Arrays.copyOfRange(all, usable, all.length)
+    if (used > 0) lastT = all(used - 1).t
+    pending = java.util.Arrays.copyOfRange(all, used, all.length)
     out.iterator
   }
 }

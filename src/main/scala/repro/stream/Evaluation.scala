@@ -3,8 +3,8 @@ package repro.stream
 import repro.baselines.{BruteForce, KSkyband, MinTopK, Sma}
 import repro.core._
 
-/** The algorithms and parameter grids of the evaluation tables, shared by
-  * the bench suites and the spark-submit jobs.
+/** The algorithms and parameter grids that the evaluation tables
+  * ([[Tables]]) are built from.
   *
   * The paper streams 10⁶–10⁸ objects through a C++ implementation; we
   * stream |D| = 120k (regular tables) / 240k (high-speed tables) objects

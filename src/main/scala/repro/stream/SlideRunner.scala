@@ -30,7 +30,8 @@ final case class RunMetrics(
 }
 
 /** Drives a [[ContinuousTopK]] state machine over a full stream, slide by
-  * slide, and collects the paper's three metrics: wall-clock running time
+  * slide through `ContinuousTopK.feed` (which rejects NaN scores and
+  * stamps that do not increase strictly), and collects the paper's three metrics: wall-clock running time
   * of the maintenance loop, average candidate-set size, and structural
   * memory. A digest over all emitted results lets benches assert that
   * every algorithm in a table cell produced identical answers.
@@ -38,10 +39,8 @@ final case class RunMetrics(
 object SlideRunner {
 
   def run(makeAlgo: TopKQuery => ContinuousTopK, algoName: String,
-          dataset: String, events: Array[Event], q: TopKQuery,
-          sampleMetrics: Boolean = true): RunMetrics = {
+          dataset: String, events: Array[Event], q: TopKQuery): RunMetrics = {
     val algo = makeAlgo(q)
-    val usable = (events.length / q.s) * q.s
     var digest = 1469598103934665603L // FNV offset basis
     var candSum = 0.0
     var candPeak = 0
@@ -53,28 +52,21 @@ object SlideRunner {
     val cpuBean = java.lang.management.ManagementFactory.getThreadMXBean
     val t0 = System.nanoTime()
     val c0 = cpuBean.getCurrentThreadCpuTime
-    var off = 0
-    while (off < usable) {
-      val slide = java.util.Arrays.copyOfRange(events, off, off + q.s)
-      algo.processSlide(slide) match {
-        case Some(res) =>
-          windows += 1
-          var i = 0
-          while (i < res.length) {
-            digest ^= java.lang.Double.doubleToLongBits(res(i).score) + res(i).t
-            digest *= 1099511628211L
-            i += 1
-          }
-        case None =>
+    ContinuousTopK.feed(algo, events, Long.MinValue, s"$algoName on $dataset", 0L) { answer =>
+      answer.foreach { res =>
+        windows += 1
+        var i = 0
+        while (i < res.length) {
+          digest ^= java.lang.Double.doubleToLongBits(res(i).score) + res(i).t
+          digest *= 1099511628211L
+          i += 1
+        }
       }
-      if (sampleMetrics) {
-        val c = algo.candidateCount
-        val m = algo.memoryBytes
-        candSum += c; if (c > candPeak) candPeak = c
-        memSum += m; if (m > memPeak) memPeak = m
-        samples += 1
-      }
-      off += q.s
+      val c = algo.candidateCount
+      val m = algo.memoryBytes
+      candSum += c; if (c > candPeak) candPeak = c
+      memSum += m; if (m > memPeak) memPeak = m
+      samples += 1
     }
     val elapsed = System.nanoTime() - t0
     val cpu = cpuBean.getCurrentThreadCpuTime - c0

@@ -22,12 +22,16 @@ class BaselinesSpec extends AnyFunSuite {
     "SMA" -> (q => new Sma(q)),
   )
 
+  // Stamps t = i and t = 10·i: the algorithms count arrivals themselves,
+  // so gapped stamps must give the same answers.
   for {
     ds <- StreamData.all
     (an, af) <- algos
     (n, k, s) <- grid
-  } test(s"$an == brute force on ${ds.name} n=$n k=$k s=$s") {
-    val events = ds.generate(3000)
+    spacing <- Seq(1, 10)
+  } test(s"$an == brute force on ${ds.name} n=$n k=$k s=$s" +
+      (if (spacing == 1) "" else s" with gapped stamps t=${spacing}i")) {
+    val events = ds.generate(3000).map(e => Event(spacing * e.t, e.score))
     val q = TopKQuery(n, k, s)
     SlideRunner.runAllChecked(
       Seq("brute" -> (qq => new BruteForce(qq)), an -> af), ds.name, events, q)

@@ -37,6 +37,20 @@ class SlideRunnerSpec extends AnyFunSuite {
     assert(m.memoryKb == m.avgMemoryBytes / 1024.0)
   }
 
+  // Input the contract forbids is rejected with the query, window and stamp
+  // (the 556th event, t = 556, is in slide 56, which completes window 47).
+  for ((what, e, msg) <- Seq(
+    ("a NaN score", Event(556, Double.NaN), "sky on d, window 47: NaN score at stamp 556"),
+    ("a decreasing stamp", Event(500, 0.5), "sky on d, window 47: stamp 500 does not follow stamp 555"),
+    ("a duplicate stamp", Event(555, 0.5), "sky on d, window 47: stamp 555 does not follow stamp 555"),
+  )) test(s"rejects $what") {
+    val bad = events.updated(555, e)
+    val err = intercept[IllegalArgumentException] {
+      SlideRunner.run(qq => new KSkyband(qq), "sky", "d", bad, q)
+    }
+    assert(err.getMessage.endsWith(msg))
+  }
+
   test("runAllChecked rejects diverging algorithms") {
     // An intentionally wrong "algorithm": always returns the slide's top-k.
     final class Wrong(val query: TopKQuery) extends ContinuousTopK {

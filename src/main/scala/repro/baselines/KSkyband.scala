@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core._
-import scala.collection.mutable.ArrayBuffer
 
 /** One-pass k-skyband baseline [Shen et al., ICDE'12], as reviewed in §2.1.
   *
@@ -40,18 +39,8 @@ final class KSkyband(val query: TopKQuery) extends ContinuousTopK {
   }
 
   private def arrive(e: Event): Unit = {
-    // Increment D of every candidate strictly below (score, t); prune at k.
-    val doomed = new ArrayBuffer[Event]()
-    cand.foreachAscendingWhile { n =>
-      if (Event.gt(e.score, e.t, n.score, n.t)) {
-        n.dom += 1
-        if (n.dom >= query.k) doomed += n.event
-        true
-      } else false
-    }
-    var i = 0
-    while (i < doomed.length) { val d = doomed(i); cand.delete(d.score, d.t); i += 1 }
-    cand.insert(e.score, e.t, dom = 0)
+    // D of every candidate below (score, t) grows by one; pruned at k.
+    cand.refine(Array(e), query.k)
     fifo.addLast(e)
   }
 

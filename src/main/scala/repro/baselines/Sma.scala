@@ -82,16 +82,7 @@ final class Sma(val query: TopKQuery) extends ContinuousTopK {
     // underfull — would break the invariant and admit wrong answers.
     if (cand.size == 0 || Event.gt(e.score, e.t, mn.score, mn.t)) {
       // Dominance bookkeeping within C, as in the k-skyband insert.
-      val doomed = new ArrayBuffer[Event]()
-      cand.foreachAscendingWhile { nd =>
-        if (Event.gt(e.score, e.t, nd.score, nd.t)) {
-          nd.dom += 1
-          if (nd.dom >= k) doomed += nd.event
-          true
-        } else false
-      }
-      doomed.foreach(d => cand.delete(d.score, d.t))
-      cand.insert(e.score, e.t)
+      cand.refine(Array(e), k)
       if (cand.size > kmax) cand.popMin()
     }
   }

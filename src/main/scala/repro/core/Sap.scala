@@ -64,10 +64,13 @@ final class Sap private[core] (
   require(unitSlides >= 1 && unitSlides <= windowSlides,
     s"a unit of $unitSlides slides does not fit a window of $windowSlides")
 
-  /** A finalized partition: arrival sequence numbers [startSeq, endSeq). */
-  private final class Part(val startSeq: Long, val endSeq: Long,
-                           val topK: Array[Event],
-                           val units: ArrayBuffer[UnitSummary]) extends Serializable {
+  /** A partition: arrival sequence numbers [startSeq, endSeq), its top-k
+    * P^k best-first and its units' summaries. The current partition grows
+    * a unit at a time; a finalized one no longer changes.
+    */
+  private final class Part(val startSeq: Long, var topK: Array[Event]) extends Serializable {
+    var endSeq: Long = startSeq
+    val units = new ArrayBuffer[UnitSummary]()
     var meaningful: MeaningfulSet = _
     var prepared = false
     def minTop: Event = topK(topK.length - 1)
@@ -78,11 +81,7 @@ final class Sap private[core] (
   private val parts = new java.util.ArrayDeque[Part]()
   private val cand = new ScoreTree // C, with dominance counters
 
-  // Current (still growing) partition; curSize == 0 when there is none.
-  private var curStartSeq = 1L
-  private var curSize = 0
-  private var curTop: Array[Event] = Array.empty // P_cur^k, best-first
-  private var curUnits = new ArrayBuffer[UnitSummary]()
+  private var cur: Part = _ // the current (still growing) partition, or null
 
   // Current (still filling) unit.
   private var unitStartSeq = 1L
@@ -113,7 +112,7 @@ final class Sap private[core] (
     if (cutoffNew > expired) {
       // With units of over half the window, the current partition can start
       // draining before the next unit completes: finalize it now.
-      if (curSize > 0 && curStartSeq <= cutoffNew) finalizeCurrent()
+      if (cur != null && cur.startSeq <= cutoffNew) finalizeCurrent()
       val front = parts.peekFirst()
       if (front != null && !front.prepared && front.startSeq <= cutoffNew)
         prepareFront(front)
@@ -160,67 +159,36 @@ final class Sap private[core] (
   // ----------------------------------------------------------------- units
 
   private def completeUnit(): Unit = {
-    val unitSize = (arrivals + 1 - unitStartSeq).toInt
     val topDesc = unitTop.toDescendingArray
     val summary =
       if (tbui != null) tbui.completeUnit(topDesc, unitStartSeq, arrivals + 1)
       else new UnitSummary(unitStartSeq, arrivals + 1, kUnit = true, topDesc)
 
-    if (curSize == 0) {
-      adoptUnitAsNewPartition(topDesc, summary, unitSize)
-    } else {
-      val mergedTop = mergeTop(curTop, topDesc, k)
-      val history = historyTopScores((curUnits.length + 1) * unitSlides)
-      if (partitioner.join(query, curSize, mergedTop.map(_.score), history)) {
-        curTop = mergedTop
-        curSize += unitSize
-        curUnits += summary
-      } else {
-        finalizeCurrent()
-        adoptUnitAsNewPartition(topDesc, summary, unitSize)
-      }
+    if (cur != null) {
+      val mergedTop = mergeTop(cur.topK, topDesc, k)
+      val history = historyTopScores((cur.units.length + 1) * unitSlides)
+      val curSize = (cur.endSeq - cur.startSeq).toInt
+      if (partitioner.join(query, curSize, mergedTop.map(_.score), history)) cur.topK = mergedTop
+      else finalizeCurrent()
     }
+    if (cur == null) cur = new Part(unitStartSeq, topDesc)
+    cur.endSeq = arrivals + 1
+    cur.units += summary
     unitTop = new TopKBuffer(k)
     unitFill = 0
     unitStartSeq = arrivals + 1
   }
 
-  private def adoptUnitAsNewPartition(topDesc: Array[Event], summary: UnitSummary,
-                                      unitSize: Int): Unit = {
-    curStartSeq = summary.startT
-    curTop = topDesc
-    curSize = unitSize
-    curUnits = new ArrayBuffer[UnitSummary]()
-    curUnits += summary
-  }
-
-  /** Merge-&-refine (Fig. 4): fold the finalized partition's P^k into C in
-    * one ascending co-walk, bumping the dominance counters of existing
-    * candidates below each new one and removing those reaching k.
-    */
+  /** Merge-&-refine (Fig. 4) of the current partition's P^k into C. */
   private def finalizeCurrent(): Unit = {
-    val p = new Part(curStartSeq, curStartSeq + curSize, curTop, curUnits)
-    val newAsc = p.topK.reverse
-    val doomed = new ArrayBuffer[Event]()
-    var j = 0
-    cand.foreachAscending { node =>
-      while (j < newAsc.length &&
-             !Event.gt(newAsc(j).score, newAsc(j).t, node.score, node.t)) j += 1
-      // everything in newAsc[j..] is strictly greater than this candidate
-      node.dom += newAsc.length - j
-      if (node.dom >= k) doomed += node.event
-    }
-    doomed.foreach(d => cand.delete(d.score, d.t))
-    var i = 0
-    while (i < newAsc.length) {
-      cand.insert(newAsc(i).score, newAsc(i).t, dom = 0)
-      i += 1
-    }
+    val p = cur
+    cur = null
+    cand.refine(p.topK, k)
     parts.addLast(p)
-    if (formation == Formation.EagerExact) formEager(p)
-    curSize = 0
-    curUnits = new ArrayBuffer[UnitSummary]()
-    curTop = Array.empty
+    if (formation == Formation.EagerExact) {
+      form(p, k, Double.NegativeInfinity)
+      p.prepared = true
+    }
   }
 
   // --------------------------------------------------------- M_i formation
@@ -243,55 +211,34 @@ final class Sap private[core] (
     */
   private def fThetaFor(p: Part): Double = {
     val pLastT = ring.at(p.endSeq - 1).t
-    val later = mergeTop(curTop, unitTop.toDescendingArray, k)
-    var count = 0
-    var kth = Double.NegativeInfinity
-    var li = 0
-    var done = false
-    // co-walk C (descending, skipping p's own candidates) with `later`
-    cand.foreachDescendingWhile { node =>
-      if (node.t > pLastT) {
-        while (count < k && li < later.length &&
-               Event.gt(later(li).score, later(li).t, node.score, node.t)) {
-          count += 1; kth = later(li).score; li += 1
-        }
-        if (count < k) { count += 1; kth = node.score }
-      }
-      if (count >= k) { done = true; false } else true
-    }
-    if (!done) {
-      while (count < k && li < later.length) { count += 1; kth = later(li).score; li += 1 }
-    }
-    if (count >= k) kth else Double.NegativeInfinity
+    if (pLastT == Long.MaxValue) return Double.NegativeInfinity // nothing came after p
+    val top = bestOf(k, pLastT + 1, later)
+    if (top.length == k) top(k - 1).score else Double.NegativeInfinity
   }
 
+  /** Forms M_i of the delayed policies when the front `p` starts draining;
+    * with ρ ≥ k none is needed (Lemma 1: R ⊆ C).
+    */
   private def prepareFront(p: Part): Unit = {
     p.prepared = true
-    if (formation == Formation.EagerExact) return // formed at finalize time
     val rho = rhoOf(p)
-    if (rho >= k) return // Lemma 1: R ⊆ C, no M needed
-    val fTheta = fThetaFor(p)
-    val limit = k - rho
-    val m: MeaningfulSet = formation match {
-      case Formation.DelayedExact => new ExactSkybandSet(limit, fTheta)
-      case _                      => new SAvl(limit, fTheta)
-    }
+    if (rho < k) form(p, k - rho, fThetaFor(p))
+  }
+
+  /** Builds M_i of `p` with local bound `limit` and global bound `fTheta`.
+    * "non-delay" forms it at finalize time with limit k and no Fθ: no
+    * later-arriving candidates exist yet, so neither global pruning nor ρ
+    * is available and the full k-skyband of P − P^k is kept. This is why
+    * the paper's delay policy wins in Table 2.
+    */
+  private def form(p: Part, limit: Int, fTheta: Double): Unit = {
+    val m: MeaningfulSet =
+      if (formation == Formation.DelayedSAvl) new SAvl(limit, fTheta)
+      else new ExactSkybandSet(limit, fTheta)
     if (partitioner.useTbui && formation == Formation.DelayedSAvl)
       ubsaScan(p, m, fTheta)
     else
       scanRange(p, p.endSeq - 1, p.startSeq, m)
-    p.meaningful = m
-    formed += 1
-  }
-
-  /** "non-delay": M is built at finalize time. No later-arriving candidates
-    * exist yet, so neither global pruning (Fθ) nor ρ is available — the
-    * full k-skyband of P − P^k is kept. This is exactly why the paper's
-    * delay policy wins in Table 2.
-    */
-  private def formEager(p: Part): Unit = {
-    val m = new ExactSkybandSet(k, Double.NegativeInfinity)
-    scanRange(p, p.endSeq - 1, p.startSeq, m)
     p.meaningful = m
     formed += 1
   }
@@ -353,48 +300,42 @@ final class Sap private[core] (
     * it holds fewer than k objects.
     */
   private def answer(): Array[Event] = {
-    val out = new Array[Event](k)
-    var filled = 0
-
-    val a = curTop
-    val b = unitTop.toDescendingArray
     val front = parts.peekFirst()
-    val mArr: Array[Event] =
+    val m0 =
       if (front != null && front.meaningful != null) front.meaningful.collectTop(k)
-      else Array.empty
-    var ai = 0; var bi = 0; var mi = 0
-
-    // 4-way merge: C iterated lazily, the other three as arrays.
-    val buf = new ArrayBuffer[Event](k)
-    cand.foreachDescendingWhile { node =>
-      buf += node.event
-      buf.length < k
-    }
-    val c = buf.toArray
-    var ci = 0
-
-    while (filled < k) {
-      var best: Event = null
-      var src = -1
-      if (ci < c.length) { best = c(ci); src = 0 }
-      if (ai < a.length && (best == null || Event.gt(a(ai).score, a(ai).t, best.score, best.t))) { best = a(ai); src = 1 }
-      if (bi < b.length && (best == null || Event.gt(b(bi).score, b(bi).t, best.score, best.t))) { best = b(bi); src = 2 }
-      if (mi < mArr.length && (best == null || Event.gt(mArr(mi).score, mArr(mi).t, best.score, best.t))) { best = mArr(mi); src = 3 }
-      if (best == null) {
-        if (arrivals - expired >= k)
-          throw new IllegalStateException(s"candidate underflow: only $filled of $k results available")
-        return java.util.Arrays.copyOf(out, filled)
-      }
-      src match {
-        case 0 => ci += 1
-        case 1 => ai += 1
-        case 2 => bi += 1
-        case 3 => mi += 1
-      }
-      out(filled) = best
-      filled += 1
-    }
+      else Array.empty[Event]
+    val out = bestOf(k, Long.MinValue, mergeTop(later, m0, k))
+    if (out.length < k && arrivals - expired >= k)
+      throw new IllegalStateException(s"candidate underflow: only ${out.length} of $k results available")
     out
+  }
+
+  /** P_cur^k merged with U_cur^k: the best k objects that arrived after
+    * every finalized partition.
+    */
+  private def later: Array[Event] =
+    mergeTop(if (cur == null) Array.empty else cur.topK, unitTop.toDescendingArray, k)
+
+  /** The best `limit` of C's entries stamped at or after `fromT`, merged
+    * with `tops` (best-first, disjoint from C), best-first: one descending
+    * co-walk that stops once `limit` entries are out.
+    */
+  private def bestOf(limit: Int, fromT: Long, tops: Array[Event]): Array[Event] = {
+    val out = new Array[Event](limit)
+    var n = 0
+    var ti = 0
+    cand.foreachDescendingWhile { node =>
+      if (node.t >= fromT) {
+        while (n < limit && ti < tops.length &&
+               Event.gt(tops(ti).score, tops(ti).t, node.score, node.t)) {
+          out(n) = tops(ti); n += 1; ti += 1
+        }
+        if (n < limit) { out(n) = node.event; n += 1 }
+      }
+      n < limit
+    }
+    while (n < limit && ti < tops.length) { out(n) = tops(ti); n += 1; ti += 1 }
+    if (n == limit) out else java.util.Arrays.copyOf(out, n)
   }
 
   // --------------------------------------------------------------- metrics
@@ -406,12 +347,12 @@ final class Sap private[core] (
       val p = it.next()
       if (p.meaningful != null) m0 += p.meaningful.size
     }
-    cand.size + curTop.length + unitTop.size + m0
+    cand.size + curTopSize + unitTop.size + m0
   }
 
   override def memoryBytes: Long = {
     var bytes =
-      (cand.size + curTop.length + unitTop.size).toLong * ContinuousTopK.TreeNodeBytes
+      (cand.size + curTopSize + unitTop.size).toLong * ContinuousTopK.TreeNodeBytes
     val it = parts.iterator()
     while (it.hasNext) {
       val p = it.next()
@@ -424,6 +365,8 @@ final class Sap private[core] (
     }
     bytes
   }
+
+  private def curTopSize: Int = if (cur == null) 0 else cur.topK.length
 
   /** Number of M_i sets formed so far (test observability). */
   def meaningfulFormed: Int = formed
@@ -450,16 +393,8 @@ final class Sap private[core] (
       minSeq -= slideSizes(((slides - 1 - j) % windowSlides).toInt)
       j += 1
     }
-    val want = Wrt.etaK(k)
-    val out = new ArrayBuffer[Double](want)
-    if (minSeq <= arrivals) {
-      val minT = ring.at(minSeq).t
-      cand.foreachDescendingWhile { node =>
-        if (node.t >= minT) out += node.score
-        out.length < want
-      }
-    }
-    out.toArray
+    if (minSeq > arrivals) Array.empty
+    else bestOf(Wrt.etaK(k), ring.at(minSeq).t, Array.empty).map(_.score)
   }
 
   /** Merge two disjoint best-first arrays into the best `limit`. */

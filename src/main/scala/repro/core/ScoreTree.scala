@@ -31,8 +31,6 @@ final class ScoreTree extends Serializable {
   private var root: Node = _
 
   def size: Int = sz(root)
-  def isEmpty: Boolean = root == null
-  def nonEmpty: Boolean = root != null
 
   @inline private def sz(n: Node): Int = if (n == null) 0 else n.size
   @inline private def ht(n: Node): Int = if (n == null) 0 else n.height
@@ -72,6 +70,28 @@ final class ScoreTree extends Serializable {
     if (lt(s, t, n.score, n.t)) n.left = ins(n.left, s, t, dom, tag)
     else n.right = ins(n.right, s, t, dom, tag)
     balance(n)
+  }
+
+  /** Merge-&-refine (Fig. 4): fold in the keys `best` (best-first), which
+    * arrived after every entry. Each entry's `dom` grows by the number of new
+    * keys above it, entries reaching `k` are deleted, and the new keys enter
+    * with `dom` 0. The ascending walk stops at the first entry above all new
+    * keys, so it visits only the entries the new keys dominate.
+    */
+  def refine(best: Array[Event], k: Int): Unit = {
+    var j = best.length - 1 // best(j): the lowest new key above the entry
+    val doomed = new scala.collection.mutable.ArrayBuffer[Node]()
+    foreachAscendingWhile { n =>
+      while (j >= 0 && !Event.gt(best(j).score, best(j).t, n.score, n.t)) j -= 1
+      if (j >= 0) {
+        n.dom += j + 1
+        if (n.dom >= k) doomed += n
+      }
+      j >= 0
+    }
+    doomed.foreach(n => delete(n.score, n.t))
+    var i = best.length - 1
+    while (i >= 0) { insert(best(i).score, best(i).t); i -= 1 }
   }
 
   /** Replace the key of `node` in place. The new key must keep the node's

@@ -46,7 +46,7 @@ final class Tbui(k: Int) extends Serializable {
   private val zetaMax = Wrt.zetaMax(k)
   private val midUnitCap = math.max(2 * zetaStar, zetaMax)
 
-  private var tau = 0.0
+  private var tau = Double.NegativeInfinity // admits every score until the first raise
   private var flag = true // threshold (re-)initialization in progress
   private var uTau = new ArrayBuffer[Double]()
 
@@ -79,7 +79,7 @@ final class Tbui(k: Int) extends Serializable {
       if (last != null) last.demote() // Theorem 2: previous is a non-k-unit
     } else {
       flag = true // downtrend: re-initialize τ from the next unit on
-      tau = 0.0
+      tau = Double.NegativeInfinity
     }
     val summary = new UnitSummary(startT, endT, kUnit = true, topDesc)
     last = summary

@@ -112,4 +112,26 @@ class ScoreTreeSpec extends AnyFunSuite {
       .sorted(Event.desc).take(5).toSeq
     assert(buf.toDescendingArray.toSeq == expect)
   }
+
+  test("refine adds the later keys above each entry to its counter and deletes at k (ScalaCheck)") {
+    val stepGen = Gen.listOfN(30, Gen.listOfN(4, Gen.choose(0, 9).map(_.toDouble)))
+    check(Prop.forAll(stepGen) { steps =>
+      val k = 3
+      val tree = new ScoreTree
+      val ref = mutable.Map[(Double, Long), Int]() // live key -> dominance counter
+      var t = 0L
+      steps.forall { scores =>
+        val best = scores.map { s => t += 1; Event(t, s) }.sorted(Event.desc).toArray
+        tree.refine(best, k)
+        for (key <- ref.keys.toSeq) {
+          val d = ref(key) + best.count(e => Event.gt(e.score, e.t, key._1, key._2))
+          if (d >= k) ref.remove(key) else ref(key) = d
+        }
+        best.foreach(e => ref((e.score, e.t)) = 0)
+        val got = mutable.ArrayBuffer[((Double, Long), Int)]()
+        tree.foreachAscending(n => got += (((n.score, n.t), n.dom)))
+        got.toSeq == ref.toSeq.sortBy(_._1)
+      }
+    })
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.stream.StreamData
 import scala.collection.mutable.ArrayBuffer
 import scala.util.Random
 
@@ -86,6 +87,20 @@ class TbuiSpec extends AnyFunSuite {
       assert(skyband <= zetaMax,
         s"demoted unit $idx has $skyband skybands > ζmax=$zetaMax")
     }
+  }
+
+  test("k-unit labels do not change when every score is shifted below zero, on every dataset") {
+    val k = 50; val lmin = 600
+    val changed = StreamData.all.flatMap { ds =>
+      val scores = ds.generate(lmin * 100).map(_.score)
+      val shift = math.abs(scores.max) + 1.0
+      val labels = drive(scores, k, lmin).map(_.kUnit)
+      val shifted = drive(scores.map(_ - shift), k, lmin).map(_.kUnit)
+      if (shifted == labels) None
+      else Some(s"${ds.name}: ${labels.count(identity)} k-units of ${labels.length}, " +
+        s"${shifted.count(identity)} once shifted below zero")
+    }
+    assert(changed.isEmpty, changed.mkString("; "))
   }
 
   test("demotion truncates the summary to its top-1") {

@@ -107,4 +107,27 @@ class StructuredTopKSpec extends SparkSpec {
     }
     assert(results == expected)
   }
+
+  test("a late stamp in a later micro-batch fails the query with the query and the stamp") {
+    import spark.implicits._
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    val events = StreamData.Stock.generate(40)
+    val q = TopKQuery(20, 3, 10)
+    val input = MemoryStream[(Int, Long, Double)]
+    val out = StructuredTopK.continuousTopK(spark, input.toDS(), Map(0 -> q), factory)
+    val sq = out.writeStream.format("memory").queryName(s"topk_late_${System.nanoTime()}")
+      .outputMode("append").start()
+    try {
+      input.addData(events.take(30).map(e => (0, e.t, e.score)).toIndexedSeq)
+      sq.processAllAvailable()
+      // the second batch repeats the first batch's last stamp, 30
+      input.addData(Seq((0, 30L, 1.0)) ++ events.slice(30, 40).map(e => (0, e.t, e.score)))
+      val err = intercept[Exception](sq.processAllAvailable())
+      val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+      val iae = causes.collectFirst { case e: IllegalArgumentException => e }
+      assert(iae.isDefined, s"no IllegalArgumentException in the cause chain of $err")
+      val msg = iae.get.getMessage
+      assert(msg.contains("query 0") && msg.contains("stamp 30"), msg)
+    } finally sq.stop()
+  }
 }

@@ -29,7 +29,7 @@ trait ContinuousTopK extends Serializable {
 
 object ContinuousTopK {
   /** Per-entry byte costs of the structural memory model. */
-  val TreeNodeBytes  = 48L // key (16) + 2 child refs + height/size/dom/tag
+  val TreeNodeBytes  = 48L // key (16) + 2 child refs + height/size/dom + header
   val HeapSlotBytes  = 16L // (score, t) slot in a primitive heap array
   val StackSlotBytes = 24L // (score, t) + back-reference in an S-AVL stack
 

@@ -11,8 +11,9 @@ package repro.core
   *
   * Ordering everywhere in this codebase is by the composite key
   * (score, t): `a` beats `b` iff `a.score > b.score`, ties broken by later
-  * arrival. This matches the paper's strict dominance `o′ ≺ o` iff
-  * `F(o) < F(o′) ∧ o.t ≤ o′.t` while making all comparisons total.
+  * arrival (`gt`; `0.0` and `-0.0` are one score). This matches the
+  * paper's strict dominance `o′ ≺ o` iff `F(o) < F(o′) ∧ o.t ≤ o′.t` while
+  * making all comparisons total.
   */
 final case class Event(t: Long, score: Double) extends Serializable
 
@@ -21,9 +22,8 @@ object Event {
   @inline def gt(aScore: Double, aT: Long, bScore: Double, bT: Long): Boolean =
     aScore > bScore || (aScore == bScore && aT > bT)
 
-  /** Descending (best-first) ordering on events. */
-  val desc: Ordering[Event] =
-    Ordering.by[Event, (Double, Long)](e => (-e.score, -e.t))
+  /** Descending (best-first) ordering on events, by `gt`. */
+  val desc: Ordering[Event] = Ordering.fromLessThan((a, b) => gt(a.score, a.t, b.score, b.t))
 }
 
 /** A continuous top-k query ⟨n, k, s, F⟩ over a count-based sliding window.

@@ -8,8 +8,8 @@ import scala.collection.mutable.ArrayBuffer
   * Construction protocol (both implementations): feed objects in strictly
   * decreasing arrival order via `insert`; the structure applies the global
   * pruning (score ≤ Fθ) and its local pruning internally. After
-  * construction, `onExpiry`/`pruneExpired` drop entries as the window start
-  * advances, and `collectTop` yields the best surviving entries.
+  * construction, `expire` drops entries as the window start advances (no
+  * `insert` follows it), and `collectTop` yields the best surviving entries.
   */
 trait MeaningfulSet extends Serializable {
   /** Feed the next object of the reverse-arrival scan. True if retained. */
@@ -65,18 +65,21 @@ final class ExactSkybandSet(limit: Int, fTheta: Double) extends MeaningfulSet {
   override def memoryBytes: Long = tree.size.toLong * ContinuousTopK.TreeNodeBytes
 }
 
-/** The paper's S-AVL structure (§5.1): at most `limit` = k − ρ stacks plus
-  * a balanced index over the stack tops.
+/** The paper's S-AVL structure (§5.1): at most `limit` = k − ρ stacks,
+  * whose tops the paper indexes with an AVL tree.
   *
   * Objects are fed in decreasing arrival order. Within each stack, scores
   * increase toward the top and arrival orders decrease toward the top
   * (conditions i and ii of §5.1) — so each stack's top is both its best
   * entry and its earliest-expiring entry, which makes expiry a sequence of
   * pops. An object is pushed onto the stack with the *largest* top smaller
-  * than it (so the tops index never needs reordering); if no stack
-  * qualifies and all `limit` stacks exist, the object is dominated by at
-  * least `limit` later objects plus the ρ candidates counted globally — a
-  * guaranteed non-k-skyband, pruned.
+  * than it, so the new top still lies between its neighbours' tops; a new
+  * stack opens only for an object below every top. Hence while objects are
+  * inserted the tops descend in stack order, and the stack array itself is
+  * the tops index: `insert` finds its stack by bisection, O(log(k − ρ)).
+  * If no stack qualifies and all `limit` stacks exist, the object is
+  * dominated by at least `limit` later objects plus the ρ candidates counted
+  * globally — a guaranteed non-k-skyband, pruned.
   */
 final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
   private final class Stack extends Serializable {
@@ -91,45 +94,34 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
     def pop(): Unit = { scores.remove(scores.length - 1); ts.remove(ts.length - 1) }
   }
 
+  // In creation order; tops descend in this order until the first `expire`.
   private val stacks = new ArrayBuffer[Stack]()
-  // Index over stack tops; node.tag = stack index.
-  private val tops = new ScoreTree
   private var live = 0
 
   override def insert(score: Double, t: Long): Boolean = {
     if (score <= fTheta) return false
-    val below = tops.lowerNode(score, t)
-    if (below != null) {
-      // The new top lies between `below` and the next top, so the index
-      // node keeps its position: update its key in place.
-      stacks(below.tag).push(score, t)
-      tops.rekey(below, score, t)
-      live += 1
-      true
-    } else if (stacks.length < limit) {
-      val st = new Stack
-      st.push(score, t)
-      stacks += st
-      tops.insert(score, t, tag = stacks.length - 1)
-      live += 1
-      true
-    } else false // dominated by all `limit` stack tops (plus ρ candidates)
+    // first stack whose top is below (score, t)
+    var lo = 0; var hi = stacks.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      val st = stacks(mid)
+      if (Event.gt(score, t, st.topScore, st.topT)) hi = mid else lo = mid + 1
+    }
+    if (lo < stacks.length) stacks(lo).push(score, t)
+    else if (stacks.length < limit) { val st = new Stack; st.push(score, t); stacks += st }
+    else return false // dominated by all `limit` stack tops (plus ρ candidates)
+    live += 1
+    true
   }
 
+  /** Pop every top stamped ≤ `minT`: the expired entries are exactly
+    * prefixes of the stacks (tops expire first). No insert follows.
+    */
   override def expire(outgoing: Array[Event], minT: Long): Unit = {
-    // Expired entries are exactly prefixes of the stacks (tops expire
-    // first): pop while the top has slid out of the window.
     var si = 0
     while (si < stacks.length) {
       val st = stacks(si)
-      var popped = false
-      while (st.nonEmpty && st.topT <= minT) {
-        tops.delete(st.topScore, st.topT)
-        st.pop()
-        live -= 1
-        popped = true
-      }
-      if (popped && st.nonEmpty) tops.insert(st.topScore, st.topT, tag = si)
+      while (st.nonEmpty && st.topT <= minT) { st.pop(); live -= 1 }
       si += 1
     }
   }
@@ -145,10 +137,8 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
     // heap entries: (score, t, stackIdx, depthFromTop)
     val pq = new java.util.PriorityQueue[(Double, Long, Int, Int)](
       math.max(1, stacks.length),
-      (a: (Double, Long, Int, Int), b: (Double, Long, Int, Int)) => {
-        if (a._1 != b._1) java.lang.Double.compare(b._1, a._1)
-        else java.lang.Long.compare(b._2, a._2)
-      }
+      (a: (Double, Long, Int, Int), b: (Double, Long, Int, Int)) =>
+        if (Event.gt(a._1, a._2, b._1, b._2)) -1 else if (Event.gt(b._1, b._2, a._1, a._2)) 1 else 0
     )
     var si = 0
     while (si < stacks.length) {
@@ -172,26 +162,16 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
   def stackCount: Int = stacks.length
 
   /** Invariant check used by tests: within every stack, scores strictly
-    * ascend and arrival orders strictly descend toward the top; and the
-    * tops index holds exactly the current stack tops, in ascending key
-    * order, each tagged with its stack and reachable by key search.
+    * ascend and arrival orders strictly descend toward the top.
     */
   def invariantsHold: Boolean = stacks.forall { st =>
     (1 until st.depth).forall { i =>
       st.scores(i) > st.scores(i - 1) ||
         (st.scores(i) == st.scores(i - 1) && st.ts(i) > st.ts(i - 1))
     } && (1 until st.depth).forall(i => st.ts(i) < st.ts(i - 1))
-  } && topsIndexHolds
-
-  private def topsIndexHolds: Boolean = {
-    val indexed = new ArrayBuffer[(Double, Long, Int)]()
-    tops.foreachAscending(n => indexed += ((n.score, n.t, n.tag)))
-    val expected = stacks.indices.filter(si => stacks(si).nonEmpty)
-      .map(si => (stacks(si).topScore, stacks(si).topT, si))
-      .sortWith((a, b) => Event.gt(b._1, b._2, a._1, a._2))
-    indexed == expected && expected.forall { case (s, t, _) => tops.find(s, t) != null }
   }
 
+  // one tree node per stack models the paper's index over the tops
   override def memoryBytes: Long =
     live.toLong * ContinuousTopK.StackSlotBytes +
       stacks.length.toLong * ContinuousTopK.TreeNodeBytes

@@ -49,10 +49,10 @@ object Partitioner {
   }
 
   /** Round to a positive multiple of s that is ≥ max(s,k) and ≤ n. */
-  private def roundToSlide(q: TopKQuery, raw: Double): Int = {
-    val floor = math.max(q.s, ((math.max(q.s, q.k) + q.s - 1) / q.s) * q.s)
+  private[core] def roundToSlide(q: TopKQuery, raw: Double): Int = {
+    val floor = math.max(q.s.toLong, ((math.max(q.s, q.k) + q.s - 1L) / q.s) * q.s)
     val mult = math.max(1L, math.round(raw / q.s)) * q.s
-    math.min(q.n.toLong, math.max(floor.toLong, mult)).toInt
+    math.min(q.n.toLong, math.max(floor, mult)).toInt
   }
 }
 
@@ -64,12 +64,7 @@ object Partitioner {
 final class EqualPartitioner(m: Int) extends Partitioner {
   require(m >= 1)
 
-  override def unitSize(q: TopKQuery): Int = {
-    val raw = q.n.toDouble / m
-    val floor = math.max(q.s.toLong, ((math.max(q.s, q.k) + q.s - 1L) / q.s) * q.s)
-    val mult = math.max(1L, math.round(raw / q.s)) * q.s
-    math.min(q.n.toLong, math.max(floor, mult)).toInt
-  }
+  override def unitSize(q: TopKQuery): Int = Partitioner.roundToSlide(q, q.n.toDouble / m)
 
   override def join(q: TopKQuery, curSize: Int, mergedTopK: Array[Double],
                     historyTopEtaK: Array[Double]): Boolean = false

@@ -5,26 +5,19 @@ package repro.core
   * Every algorithm in this reproduction needs the same primitive: a sorted
   * set of (score, arrival) pairs with O(log n) insert/delete/min, rank
   * queries ("how many entries beat this key"), and in-order iteration.
-  * Nodes carry two client payloads used by the paper's structures:
-  *
-  *   - `dom`: the dominance counter D(o, C, W) of the merge-&-refine step
-  *     (Fig. 4) and of the k-skyband baseline;
-  *   - `tag`: a free integer (the stack index in the S-AVL tops index).
+  * Each node carries `dom`, the dominance counter D(o, C, W) of the
+  * merge-&-refine step (Fig. 4) and of the k-skyband baseline.
   *
   * Not thread-safe; used single-threaded inside one stream's state machine.
   */
 final class ScoreTree extends Serializable {
 
-  final class Node(private[ScoreTree] var keyScore: Double, private[ScoreTree] var keyT: Long)
-      extends Serializable {
-    def score: Double = keyScore
-    def t: Long = keyT
+  final class Node(val score: Double, val t: Long) extends Serializable {
     var left: Node = _
     var right: Node = _
     var height: Int = 1
     var size: Int = 1
     var dom: Int = 0
-    var tag: Int = 0
     def event: Event = Event(t, score)
   }
 
@@ -34,8 +27,6 @@ final class ScoreTree extends Serializable {
 
   @inline private def sz(n: Node): Int = if (n == null) 0 else n.size
   @inline private def ht(n: Node): Int = if (n == null) 0 else n.height
-  @inline private def lt(aS: Double, aT: Long, bS: Double, bT: Long): Boolean =
-    aS < bS || (aS == bS && aT < bT)
 
   private def fix(n: Node): Unit = {
     n.height = 1 + math.max(ht(n.left), ht(n.right))
@@ -62,13 +53,13 @@ final class ScoreTree extends Serializable {
   }
 
   /** Insert (score, t); keys are unique by construction (t is unique). */
-  def insert(score: Double, t: Long, dom: Int = 0, tag: Int = 0): Unit =
-    root = ins(root, score, t, dom, tag)
+  def insert(score: Double, t: Long, dom: Int = 0): Unit =
+    root = ins(root, score, t, dom)
 
-  private def ins(n: Node, s: Double, t: Long, dom: Int, tag: Int): Node = {
-    if (n == null) { val nn = new Node(s, t); nn.dom = dom; nn.tag = tag; return nn }
-    if (lt(s, t, n.score, n.t)) n.left = ins(n.left, s, t, dom, tag)
-    else n.right = ins(n.right, s, t, dom, tag)
+  private def ins(n: Node, s: Double, t: Long, dom: Int): Node = {
+    if (n == null) { val nn = new Node(s, t); nn.dom = dom; return nn }
+    if (Event.gt(n.score, n.t, s, t)) n.left = ins(n.left, s, t, dom)
+    else n.right = ins(n.right, s, t, dom)
     balance(n)
   }
 
@@ -94,12 +85,6 @@ final class ScoreTree extends Serializable {
     while (i >= 0) { insert(best(i).score, best(i).t); i -= 1 }
   }
 
-  /** Replace the key of `node` in place. The new key must keep the node's
-    * in-order position (above its predecessor, below its successor), so no
-    * rebalancing or size update is needed.
-    */
-  def rekey(node: Node, score: Double, t: Long): Unit = { node.keyScore = score; node.keyT = t }
-
   /** Delete the entry with exactly this key. Returns true if present. */
   def delete(score: Double, t: Long): Boolean = {
     val before = size
@@ -115,12 +100,12 @@ final class ScoreTree extends Serializable {
       var succ = n.right
       while (succ.left != null) succ = succ.left
       val repl = new Node(succ.score, succ.t)
-      repl.dom = succ.dom; repl.tag = succ.tag
+      repl.dom = succ.dom
       repl.left = n.left
       repl.right = del(n.right, succ.score, succ.t)
       return balance(repl)
     }
-    if (lt(s, t, n.score, n.t)) n.left = del(n.left, s, t)
+    if (Event.gt(n.score, n.t, s, t)) n.left = del(n.left, s, t)
     else n.right = del(n.right, s, t)
     balance(n)
   }
@@ -130,28 +115,18 @@ final class ScoreTree extends Serializable {
     var n = root
     while (n != null) {
       if (score == n.score && t == n.t) return n
-      n = if (lt(score, t, n.score, n.t)) n.left else n.right
+      n = if (Event.gt(n.score, n.t, score, t)) n.left else n.right
     }
     null
   }
 
   def minNode: Node = { var n = root; if (n == null) return null; while (n.left != null) n = n.left; n }
 
-  /** Greatest entry with key strictly less than (score, t), or null. */
-  def lowerNode(score: Double, t: Long): Node = {
-    var n = root; var best: Node = null
-    while (n != null) {
-      if (lt(n.score, n.t, score, t)) { best = n; n = n.right }
-      else n = n.left
-    }
-    best
-  }
-
   /** Number of entries with key strictly greater than (score, t). */
   def countGreater(score: Double, t: Long): Int = {
     var n = root; var cnt = 0
     while (n != null) {
-      if (lt(score, t, n.score, n.t)) { cnt += 1 + sz(n.right); n = n.left }
+      if (Event.gt(n.score, n.t, score, t)) { cnt += 1 + sz(n.right); n = n.left }
       else n = n.right // n.key <= key: nothing in its left subtree is greater
     }
     cnt
@@ -203,7 +178,7 @@ final class ScoreTree extends Serializable {
 }
 
 /** A top-k buffer: a ScoreTree capped at `k` entries, keeping the largest.
-  * Used for P_i^k, per-unit U_v^k, and brute-force selection.
+  * Used for the per-unit U_v^k and brute-force selection.
   */
 final class TopKBuffer(val k: Int) extends Serializable {
   val tree = new ScoreTree

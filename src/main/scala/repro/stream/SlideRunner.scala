@@ -9,13 +9,11 @@ import repro.core.{ContinuousTopK, Event, TopKQuery}
   * CPU for seconds at a time (observed via /proc/stat `steal`); wall-clock
   * cells would randomly inflate 10–100×. Thread CPU time is immune to
   * steal and is the honest cost of a single-threaded maintenance loop.
-  * `elapsedNanos` (wall) is retained for reference.
   */
 final case class RunMetrics(
     algo: String,
     dataset: String,
     query: TopKQuery,
-    elapsedNanos: Long,
     cpuNanos: Long,
     avgCandidates: Double,
     peakCandidates: Int,
@@ -25,15 +23,14 @@ final case class RunMetrics(
     windows: Long,
 ) {
   def seconds: Double = cpuNanos / 1e9
-  def wallSeconds: Double = elapsedNanos / 1e9
   def memoryKb: Double = avgMemoryBytes / 1024.0
 }
 
 /** Drives a [[ContinuousTopK]] state machine over a full stream, slide by
   * slide through `ContinuousTopK.feed` (which rejects NaN scores and
-  * stamps that do not increase strictly), and collects the paper's three metrics: wall-clock running time
-  * of the maintenance loop, average candidate-set size, and structural
-  * memory. A digest over all emitted results lets benches assert that
+  * stamps that do not increase strictly), and collects the paper's three
+  * metrics: running time of the maintenance loop (thread CPU), average
+  * candidate-set size, and structural memory. A digest over all emitted results lets benches assert that
   * every algorithm in a table cell produced identical answers.
   */
 object SlideRunner {
@@ -50,7 +47,6 @@ object SlideRunner {
     var windows = 0L
 
     val cpuBean = java.lang.management.ManagementFactory.getThreadMXBean
-    val t0 = System.nanoTime()
     val c0 = cpuBean.getCurrentThreadCpuTime
     ContinuousTopK.feed(algo, events, Long.MinValue, s"$algoName on $dataset", 0L) { answer =>
       answer.foreach { res =>
@@ -68,10 +64,9 @@ object SlideRunner {
       memSum += m; if (m > memPeak) memPeak = m
       samples += 1
     }
-    val elapsed = System.nanoTime() - t0
     val cpu = cpuBean.getCurrentThreadCpuTime - c0
 
-    RunMetrics(algoName, dataset, q, elapsed, cpu,
+    RunMetrics(algoName, dataset, q, cpu,
       if (samples > 0) candSum / samples else 0.0, candPeak,
       if (samples > 0) memSum / samples else 0.0, memPeak,
       digest, windows)

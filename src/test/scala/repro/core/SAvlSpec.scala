@@ -44,7 +44,41 @@ class SAvlSpec extends AnyFunSuite {
     }
   }
 
+  /** S-AVL as §5.1 states it, with no tops index: each insert scans every
+    * top and pushes onto the greatest one below the object, or opens a new
+    * stack while fewer than `limit` exist. Stacks are best-first lists.
+    */
+  private final class LinearSAvl(limit: Int, fTheta: Double) {
+    val stacks = scala.collection.mutable.ArrayBuffer[List[Event]]()
+
+    def insert(score: Double, t: Long): Boolean = {
+      if (score <= fTheta) return false
+      val below = stacks.indices.filter(i => Event.gt(score, t, stacks(i).head.score, stacks(i).head.t))
+      if (below.nonEmpty) {
+        val i = below.maxBy(i => stacks(i).head)(Event.desc.reverse)
+        stacks(i) = Event(t, score) :: stacks(i)
+        true
+      } else if (stacks.length < limit) { stacks += List(Event(t, score)); true }
+      else false
+    }
+
+    /** The tops descend in stack creation order, so the stack array can
+      * serve as the tops index (true until the first expiry).
+      */
+    def topsDescend: Boolean = {
+      val tops = stacks.map(_.head)
+      tops.zip(tops.drop(1)).forall { case (a, b) => Event.gt(a.score, a.t, b.score, b.t) }
+    }
+
+    def expire(minT: Long): Unit =
+      for (i <- stacks.indices) stacks(i) = stacks(i).dropWhile(_.t <= minT)
+
+    def all: Seq[Event] = stacks.toSeq.flatten.sorted(Event.desc)
+  }
+
   for (seed <- 1 to 20) {
+    // The stack array is the tops index: the bisection over it must pick the
+    // stack a scan over every top picks.
     test(s"tops index holds exactly the stack tops after every insert and expire, tied scores (seed=$seed)") {
       val rnd = new Random(seed)
       val n = 300
@@ -53,21 +87,27 @@ class SAvlSpec extends AnyFunSuite {
       val limit = 1 + rnd.nextInt(10)
       val fTheta = if (rnd.nextBoolean()) Double.NegativeInfinity else 5.0
       val s = new SAvl(limit, fTheta)
+      val model = new LinearSAvl(limit, fTheta)
+      def sameAsModel(when: String): Unit = {
+        assert(s.invariantsHold, when)
+        assert(s.stackCount == model.stacks.length, when)
+        assert(s.collectTop(s.size).toSeq == model.all, when)
+      }
       var t = n
       while (t >= 1) {
         val e = events(t - 1)
-        s.insert(e.score, e.t)
-        assert(s.invariantsHold, s"after insert of $e")
+        assert(s.insert(e.score, e.t) == model.insert(e.score, e.t), s"verdict on $e")
+        sameAsModel(s"after insert of $e")
+        assert(model.topsDescend, s"after insert of $e")
         t -= 1
       }
-      val kept = s.collectTop(s.size).map(_.t).toSet
       var minT = 0
       while (minT < n) {
         val next = math.min(n, minT + 1 + rnd.nextInt(30))
         s.expire(events.slice(minT, next), next.toLong)
+        model.expire(next.toLong)
         minT = next
-        assert(s.invariantsHold, s"after expiry up to t=$minT")
-        assert(s.collectTop(s.size).map(_.t).toSet == kept.filter(_ > minT))
+        sameAsModel(s"after expiry up to t=$minT")
       }
       assert(s.size == 0)
     }

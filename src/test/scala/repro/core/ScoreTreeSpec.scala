@@ -64,18 +64,6 @@ class ScoreTreeSpec extends AnyFunSuite {
     })
   }
 
-  test("lowerNode returns the greatest strictly-smaller entry") {
-    val tree = new ScoreTree
-    Seq((1.0, 1L), (2.0, 2L), (3.0, 3L), (2.0, 5L)).foreach { case (s, t) => tree.insert(s, t) }
-    assert(tree.lowerNode(0.5, 99L) == null)
-    val n1 = tree.lowerNode(2.0, 2L) // strictly below (2.0, 2): (1.0, 1)
-    assert(n1.score == 1.0 && n1.t == 1L)
-    val n2 = tree.lowerNode(2.0, 6L) // (2.0, 5) is below (2.0, 6)
-    assert(n2.score == 2.0 && n2.t == 5L)
-    val n3 = tree.lowerNode(10.0, 0L)
-    assert(n3.score == 3.0 && n3.t == 3L)
-  }
-
   test("popMin drains in order") {
     val tree = new ScoreTree
     val xs = Seq(5.0 -> 1L, 1.0 -> 2L, 3.0 -> 3L, 4.0 -> 4L, 2.0 -> 5L)
@@ -95,11 +83,11 @@ class ScoreTreeSpec extends AnyFunSuite {
 
   test("dominance counters survive rebalancing deletes") {
     val tree = new ScoreTree
-    (1 to 50).foreach(i => tree.insert(i.toDouble, i.toLong, dom = i, tag = i * 2))
+    (1 to 50).foreach(i => tree.insert(i.toDouble, i.toLong, dom = i))
     (1 to 25).foreach(i => tree.delete(i.toDouble, i.toLong))
     (26 to 50).foreach { i =>
       val n = tree.find(i.toDouble, i.toLong)
-      assert(n != null && n.dom == i && n.tag == i * 2)
+      assert(n != null && n.dom == i)
     }
   }
 

@@ -9,7 +9,8 @@ import scala.util.Random
 /** Every algorithm of the registry and Table 2's three formation policies
   * against `BruteForce`, over random small queries ⟨n, k, s⟩ (n ≤ 240) and
   * streams built to break merges and dominance counters: ties, constant
-  * scores, ±Inf, monotone runs, all-negative scores and gapped stamps.
+  * scores, ±Inf, monotone runs, all-negative scores, signed zeros and
+  * gapped stamps.
   */
 class RegistryFuzzSpec extends AnyFunSuite {
 
@@ -52,6 +53,12 @@ class RegistryFuzzSpec extends AnyFunSuite {
       }
     }),
     "all negative" -> ((len, seed) => { val r = new Random(seed); Array.fill(len)(-1.0 - r.nextDouble()) }),
+    // 0.0 and -0.0 are one score, so their tie goes to the later stamp
+    "signed zeros" -> ((len, seed) => {
+      val r = new Random(seed)
+      val pool = Array(0.0, -0.0, 1.0, -1.0, 2.0)
+      Array.fill(len)(pool(r.nextInt(pool.length)))
+    }),
   )
 
   /** (stamp spacing, scores) as a stream: t = spacing·i. */

@@ -25,7 +25,7 @@ class TablesSpec extends AnyFunSuite {
   test("a table renders as text and encodes as JSON that parses back") {
     val t = Tables.table9
     val cells = for (ds <- Tables.datasets; r <- t.rows; (n, k, s) <- t.grid) yield
-      TableCell(t.name, r.label, RunMetrics(r.key, ds, TopKQuery(n, k, s), 0L, n * 1000L,
+      TableCell(t.name, r.label, RunMetrics(r.key, ds, TopKQuery(n, k, s), n * 1000L,
         k + 0.5, 0, 1024.0 * s, 0L, -s.toLong, 1L), runs = 2)
     val text = Tables.render(t, cells).split("\n")
     assert(text.length == 3 + Tables.datasets.size * t.rows.size)

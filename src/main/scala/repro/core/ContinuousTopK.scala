@@ -2,20 +2,22 @@ package repro.core
 
 /** Common interface of every continuous top-k algorithm in this repo.
   *
-  * Driving protocol (count-based window ⟨n, k, s⟩):
-  *  - feed the stream in arrival order via `processSlide`, s events at a
-  *    time (the harness slices the stream);
-  *  - once at least n events have arrived, each call returns the current
-  *    window's top-k, best-first; before that it returns None.
+  * Driving protocol, for a window of the last m slides (`query`):
+  *  - feed the stream in arrival order via `processSlide`, one slide at a
+  *    time: exactly s events for a count-based [[TopKQuery]] ⟨n, k, s⟩
+  *    (the harness slices the stream), any number for a [[TimeQuery]];
+  *  - once m slides have arrived, each call returns the current window's
+  *    top-k, best-first (all of it when it holds fewer than k objects);
+  *    before that it returns None.
   *
   * Implementations are single-threaded mutable state machines; they are
   * Serializable so the Structured Streaming operator can persist them as
   * per-group state between micro-batches.
   */
 trait ContinuousTopK extends Serializable {
-  def query: TopKQuery
+  def query: WindowQuery
 
-  /** Process one slide of exactly `query.s` events (arrival order). */
+  /** Process one slide of events in arrival order. */
   def processSlide(events: Array[Event]): Option[Array[Event]]
 
   /** Current number of maintained candidates (the paper's |C| metric).
@@ -35,7 +37,9 @@ object ContinuousTopK {
 
   /** Cuts `events` into whole slides of `algo.query.s`, feeds them to
     * `algo` in order and passes each slide's answer to `f`; returns the
-    * number of events fed (the rest is a partial slide).
+    * number of events fed (the rest is a partial slide). A time-based
+    * query has no slide size to cut by, so it throws an
+    * IllegalArgumentException.
     *
     * `SlideRunner` and the Spark operators feed every stream through here,
     * so it also enforces the input contract: a NaN score or a stamp not
@@ -46,7 +50,8 @@ object ContinuousTopK {
     */
   def feed(algo: ContinuousTopK, events: Array[Event], lastT: Long,
            query: String, wid: Long)(f: Option[Array[Event]] => Unit): Int = {
-    val s = algo.query.s
+    val s = algo.query.slideSize
+    require(s > 0, s"$query: ${algo.query} has slides of any size, which only processSlide takes")
     val usable = (events.length / s) * s
     var last = lastT
     var windows = wid

@@ -7,9 +7,10 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Construction protocol (both implementations): feed objects in strictly
   * decreasing arrival order via `insert`; the structure applies the global
-  * pruning (score ≤ Fθ) and its local pruning internally. After
-  * construction, `expire` drops entries as the window start advances (no
-  * `insert` follows it), and `collectTop` yields the best surviving entries.
+  * pruning (score ≤ Fθ; none when Fθ is NaN) and its local pruning
+  * internally. After construction, `expire` drops entries as the window
+  * start advances (no `insert` follows it), and `collectTop` yields the
+  * best surviving entries.
   */
 trait MeaningfulSet extends Serializable {
   /** Feed the next object of the reverse-arrival scan. True if retained. */

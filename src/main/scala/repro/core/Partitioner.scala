@@ -59,9 +59,10 @@ object Partitioner {
 /** Equal partitioning (§4.1): every partition is exactly one unit of size
   * n/m (rounded to the structural constraints). With m = m* this is the
   * configuration whose |C ∪ M0| bound is minimized; with n/m ≤ s it
-  * degenerates to MinTopK, as the paper notes.
+  * degenerates to MinTopK, as the paper notes. It is the one partitioner
+  * of a time-based query: `Sap` makes each unit ⌈w/m⌉ of its w slides.
   */
-final class EqualPartitioner(m: Int) extends Partitioner {
+final class EqualPartitioner(private[core] val m: Int) extends Partitioner {
   require(m >= 1)
 
   override def unitSize(q: TopKQuery): Int = Partitioner.roundToSlide(q, q.n.toDouble / m)

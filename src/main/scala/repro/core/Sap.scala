@@ -25,13 +25,15 @@ object Formation {
 
 /** The SAP framework (§3, Algorithm 1) as a state machine over slides.
   *
-  * The window is the last m slides and a unit is u whole slides. A slide
-  * may carry any number of objects, as in the time-based windows of
-  * Appendix A; a count-based query ⟨n, k, s⟩ is the case of exactly s
-  * objects per slide, m = n/s. Ring slots, partition and unit bounds and
-  * expiry cutoffs are positions in an internal arrival sequence (1, 2, 3,
-  * …); an object's stamp `t` serves only as the tie-breaking half of its
-  * (score, t) key, so stamps need only increase strictly.
+  * The window is the last m slides and a unit is u whole slides. Under a
+  * [[TimeQuery]] a slide carries any number of objects, as in the
+  * time-based windows of Appendix A; a count-based [[TopKQuery]] ⟨n, k, s⟩
+  * is the case of exactly s objects per slide, m = n/s. A time query takes
+  * only an `EqualPartitioner(p)`, whose units are ⌈m/p⌉ slides and never
+  * join, and runs every [[Formation]]. Ring slots, partition and unit
+  * bounds and expiry cutoffs are positions in an internal arrival sequence
+  * (1, 2, 3, …); an object's stamp `t` serves only as the tie-breaking half
+  * of its (score, t) key, so stamps need only increase strictly.
   *
   * The window is partitioned into sub-windows built from units, as decided
   * by the pluggable [[Partitioner]]. Per finalized partition we retain the
@@ -43,26 +45,16 @@ object Formation {
   * configured [[Formation]] policy (Lemma 2 pruning). The per-slide answer
   * is the top-k of C ∪ P_cur^k ∪ U_cur^k ∪ M_0 (Lemma 1).
   */
-final class Sap private[core] (
-    val query: TopKQuery,
+final class Sap(
+    val query: WindowQuery,
     val partitioner: Partitioner,
-    val formation: Formation,
-    windowSlides: Int,
-    unitSlides: Int,
-    fixedSlides: Boolean, // every slide holds exactly query.s objects
+    val formation: Formation = Formation.DelayedSAvl,
 ) extends ContinuousTopK {
   import query.k
 
-  /** Count-based window ⟨n, k, s⟩: m = n/s slides of exactly s objects and
-    * units of `partitioner.unitSize(query)` objects.
-    */
-  def this(query: TopKQuery, partitioner: Partitioner,
-           formation: Formation = Formation.DelayedSAvl) =
-    this(query, partitioner, formation, query.m, Sap.unitSlides(query, partitioner),
-      fixedSlides = true)
-
-  require(unitSlides >= 1 && unitSlides <= windowSlides,
-    s"a unit of $unitSlides slides does not fit a window of $windowSlides")
+  private val windowSlides = query.m
+  private val unitSlides = Sap.unitSlides(query, partitioner)
+  private val slideSize = query.slideSize
 
   /** A partition: arrival sequence numbers [startSeq, endSeq), its top-k
     * P^k best-first and its units' summaries. The current partition grows
@@ -76,7 +68,8 @@ final class Sap private[core] (
     def minTop: Event = topK(topK.length - 1)
   }
 
-  private val ring = new WindowRing(query.n)
+  // A count window holds n = s·m objects; a time window's ring grows from k.
+  private val ring = new WindowRing(math.max(k, slideSize * windowSlides))
   private val slideSizes = new Array[Int](windowSlides) // last m slides, at slide number mod m
   private val parts = new java.util.ArrayDeque[Part]()
   private val cand = new ScoreTree // C, with dominance counters
@@ -98,8 +91,8 @@ final class Sap private[core] (
   // ---------------------------------------------------------------- slides
 
   override def processSlide(events: Array[Event]): Option[Array[Event]] = {
-    require(!fixedSlides || events.length == query.s,
-      s"slide of ${events.length} events, expected s=${query.s}")
+    require(slideSize < 0 || events.length == slideSize,
+      s"slide of ${events.length} events, expected s=$slideSize")
     // The slot of the slide that leaves now takes the arriving slide's size.
     val slot = (slides % windowSlides).toInt
     val cutoffNew = if (slides >= windowSlides) expired + slideSizes(slot) else 0L
@@ -164,12 +157,14 @@ final class Sap private[core] (
       if (tbui != null) tbui.completeUnit(topDesc, unitStartSeq, arrivals + 1)
       else new UnitSummary(unitStartSeq, arrivals + 1, kUnit = true, topDesc)
 
-    if (cur != null) {
-      val mergedTop = mergeTop(cur.topK, topDesc, k)
-      val history = historyTopScores((cur.units.length + 1) * unitSlides)
-      val curSize = (cur.endSeq - cur.startSeq).toInt
-      if (partitioner.join(query, curSize, mergedTop.map(_.score), history)) cur.topK = mergedTop
-      else finalizeCurrent()
+    if (cur != null) query match {
+      case q: TopKQuery =>
+        val mergedTop = mergeTop(cur.topK, topDesc, k)
+        val history = historyTopScores((cur.units.length + 1) * unitSlides)
+        val curSize = (cur.endSeq - cur.startSeq).toInt
+        if (partitioner.join(q, curSize, mergedTop.map(_.score), history)) cur.topK = mergedTop
+        else finalizeCurrent()
+      case _: TimeQuery => finalizeCurrent() // its equal units never join
     }
     if (cur == null) cur = new Part(unitStartSeq, topDesc)
     cur.endSeq = arrivals + 1
@@ -186,7 +181,7 @@ final class Sap private[core] (
     cand.refine(p.topK, k)
     parts.addLast(p)
     if (formation == Formation.EagerExact) {
-      form(p, k, Double.NegativeInfinity)
+      if (p.topK.nonEmpty) form(p, k, Double.NaN) // a time query's slides may be empty
       p.prepared = true
     }
   }
@@ -207,13 +202,15 @@ final class Sap private[core] (
     * partition `p` — i.e. among C entries not from p, plus the current
     * partition/unit tops (all of which arrived after p and therefore
     * outlive it). Earlier partitions have expired from C, so the entries
-    * not from p are those stamped after p's last object.
+    * not from p are those stamped after p's last object. NaN when fewer
+    * than k objects came after p: no global bound, which prunes nothing,
+    * not even a −∞ score that a time window of under k objects answers.
     */
   private def fThetaFor(p: Part): Double = {
     val pLastT = ring.at(p.endSeq - 1).t
-    if (pLastT == Long.MaxValue) return Double.NegativeInfinity // nothing came after p
+    if (pLastT == Long.MaxValue) return Double.NaN // nothing came after p
     val top = bestOf(k, pLastT + 1, later)
-    if (top.length == k) top(k - 1).score else Double.NegativeInfinity
+    if (top.length == k) top(k - 1).score else Double.NaN
   }
 
   /** Forms M_i of the delayed policies when the front `p` starts draining;
@@ -226,7 +223,7 @@ final class Sap private[core] (
   }
 
   /** Builds M_i of `p` with local bound `limit` and global bound `fTheta`.
-    * "non-delay" forms it at finalize time with limit k and no Fθ: no
+    * "non-delay" forms it at finalize time with limit k and no Fθ (NaN): no
     * later-arriving candidates exist yet, so neither global pruning nor ρ
     * is available and the full k-skyband of P − P^k is kept. This is why
     * the paper's delay policy wins in Table 2.
@@ -276,7 +273,7 @@ final class Sap private[core] (
     while (ui >= 0) {
       val u = p.units(ui)
       if (!u.kUnit) {
-        if (u.top(0).score > fTheta) scanRange(p, u.endT - 1, u.startT, m)
+        if (!(u.top(0).score <= fTheta)) scanRange(p, u.endT - 1, u.startT, m) // NaN Fθ: no bound
         // else: every object of the unit fails the global pruning — skip
       } else {
         if (u.minTop.score < fTheta) {
@@ -412,13 +409,18 @@ final class Sap private[core] (
 }
 
 object Sap {
-  /** Slides per unit of a count-based query; the unit must be a multiple
-    * of s, at least max(s, k) and at most n (§4).
+  /** Slides per unit. A count-based query's unit must be a multiple of s,
+    * at least max(s, k) and at most n (§4); a time-based query's unit under
+    * `EqualPartitioner(p)` is ⌈m/p⌉ slides.
     */
-  private def unitSlides(q: TopKQuery, p: Partitioner): Int = {
-    val unitSz = p.unitSize(q)
-    require(unitSz % q.s == 0 && unitSz >= math.max(q.s, q.k) && unitSz <= q.n,
-      s"unit size $unitSz violates structural constraints (s=${q.s} k=${q.k} n=${q.n})")
-    unitSz / q.s
+  private def unitSlides(q: WindowQuery, p: Partitioner): Int = (q, p) match {
+    case (q: TopKQuery, _) =>
+      val unitSz = p.unitSize(q)
+      require(unitSz % q.s == 0 && unitSz >= math.max(q.s, q.k) && unitSz <= q.n,
+        s"unit size $unitSz violates structural constraints (s=${q.s} k=${q.k} n=${q.n})")
+      unitSz / q.s
+    case (q: TimeQuery, p: EqualPartitioner) => (q.m + p.m - 1) / p.m
+    case (q: TimeQuery, _) =>
+      throw new IllegalArgumentException(s"$q takes only an EqualPartitioner, not ${p.getClass.getSimpleName}")
   }
 }

@@ -4,10 +4,9 @@ package repro.core
   * sequence number (1 for the first append, 2 for the next, …). Each entry
   * keeps its event's stamp `t`, which need not equal its sequence number.
   *
-  * Shared by algorithms that need access to the raw window: brute force
-  * re-selection and SAP's meaningful-set formation scans. A ring keeps its
-  * capacity unless `reserve` asks for more, so a count-based window of n
-  * events never grows past n.
+  * SAP's meaningful-set formation scans read the raw window from it. A
+  * ring keeps its capacity unless `reserve` asks for more, so a count-based
+  * window of n events never grows past n.
   */
 final class WindowRing(initialCapacity: Int) extends Serializable {
   private var ts = new Array[Long](initialCapacity)
@@ -37,19 +36,6 @@ final class WindowRing(initialCapacity: Int) extends Serializable {
       seq += 1
     }
     ts = newTs; scores = newScores
-  }
-
-  /** Number of retained events. */
-  def count: Int = kept
-
-  def foreach(f: Event => Unit): Unit = {
-    val start = n - kept
-    var j = 0L
-    while (j < kept) {
-      val i = ((start + j) % ts.length).toInt
-      f(Event(ts(i), scores(i)))
-      j += 1
-    }
   }
 
   /** Event by arrival sequence number (must still be retained). */

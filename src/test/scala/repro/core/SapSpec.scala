@@ -136,4 +136,11 @@ class SapSpec extends AnyFunSuite {
     val p = new EqualPartitioner(10) // n/m = 10 < s=50 -> unit snaps to s
     assert(p.unitSize(q) == 50)
   }
+
+  test("a count query's slide of the wrong size is rejected by Sap and BruteForce") {
+    val q = TopKQuery(n = 40, k = 3, s = 4)
+    val slide = StreamData.Stock.generate(5)
+    for (algo <- Seq(new Sap(q, new DynamicPartitioner), new BruteForce(q)); len <- Seq(0, 3, 5))
+      assertThrows[IllegalArgumentException](algo.processSlide(slide.take(len)))
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.BruteForce
 import scala.util.Random
 
 /** Time-based windows (Appendix A): variable objects per slide. */
@@ -16,10 +17,15 @@ class TimeBasedSpec extends AnyFunSuite {
     }
   }
 
+  /** `Sap` with delayed exact formation over `EqualPartitioner(p)`, by
+    * default p = ⌈√w⌉.
+    */
   private def compare(k: Int, w: Int, slides: Array[Array[Event]],
-                      spp: Option[Int] = None): Unit = {
-    val brute = new TimeBasedBruteForce(k, w)
-    val sap = new TimeBasedSap(k, w, spp)
+                      p: Option[Int] = None): Unit = {
+    val q = TimeQuery(w, k)
+    val brute = new BruteForce(q)
+    val sap = new Sap(q, new EqualPartitioner(p.getOrElse(math.ceil(math.sqrt(w)).toInt)),
+      Formation.DelayedExact)
     slides.foreach { batch =>
       val a = brute.processSlide(batch).map(_.map(_.score).toSeq)
       val b = sap.processSlide(batch).map(_.map(_.score).toSeq)
@@ -51,16 +57,17 @@ class TimeBasedSpec extends AnyFunSuite {
     compare(k = 10, w = 8, slides)
   }
 
+  // 1, 2, 3, 6 and 12 slides per partition of a 12-slide window
   test("explicit slides-per-partition settings all agree with brute force") {
-    for (spp <- Seq(1, 2, 3, 6, 12))
-      compare(k = 6, w = 12, randomSlides(180, 25, 42), Some(spp))
+    for (p <- Seq(12, 6, 4, 2, 1))
+      compare(k = 6, w = 12, randomSlides(180, 25, 42), Some(p))
   }
 
   test("gapped stamps t=10i on random variable-rate streams, every slides-per-partition setting") {
     def gapped(slides: Array[Array[Event]]) = slides.map(_.map(e => Event(10 * e.t, e.score)))
     for (seed <- 1 to 8) compare(k = 5, w = 12, gapped(randomSlides(200, 30, seed)))
-    for (spp <- Seq(1, 2, 3, 6, 12))
-      compare(k = 6, w = 12, gapped(randomSlides(180, 25, 42)), Some(spp))
+    for (p <- Seq(12, 6, 4, 2, 1))
+      compare(k = 6, w = 12, gapped(randomSlides(180, 25, 42)), Some(p))
   }
 
   test("bursty rates (heavy slides after quiet ones)") {
@@ -79,5 +86,11 @@ class TimeBasedSpec extends AnyFunSuite {
       Array.fill(7) { t += 1; Event(t, 1e6 - t.toDouble) }
     }
     compare(k = 5, w = 10, slides)
+  }
+
+  test("a time query takes only an EqualPartitioner") {
+    for (p <- Seq(new DynamicPartitioner, new EnhancedDynamicPartitioner);
+         f <- Seq(Formation.EagerExact, Formation.DelayedExact, Formation.DelayedSAvl))
+      assertThrows[IllegalArgumentException](new Sap(TimeQuery(12, 5), p, f))
   }
 }

@@ -29,4 +29,10 @@ class StreamStateSpec extends AnyFunSuite {
     val split = Seq(events.take(40), events.slice(40, 77), events.drop(77)).flatMap(st.advance(1, _))
     assert(split == whole)
   }
+
+  test("rejects an algorithm on a time-based query, whose slides it cannot cut") {
+    val st = new StreamState(new BruteForce(TimeQuery(10, 3)), Array.empty, 0L)
+    val err = intercept[IllegalArgumentException](st.advance(7, events))
+    assert(err.getMessage.contains("query 7: TimeQuery(10,3) has slides of any size"))
+  }
 }

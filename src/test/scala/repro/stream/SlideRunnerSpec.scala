@@ -51,6 +51,14 @@ class SlideRunnerSpec extends AnyFunSuite {
     assert(err.getMessage.endsWith(msg))
   }
 
+  test("rejects an algorithm on a time-based query, whose slides it cannot cut") {
+    for (make <- Seq[TopKQuery => ContinuousTopK](
+           _ => new BruteForce(TimeQuery(10, 5)),
+           _ => new Sap(TimeQuery(10, 5), new EqualPartitioner(2))))
+      assert(intercept[IllegalArgumentException](SlideRunner.run(make, "tq", "d", events, q))
+        .getMessage.startsWith("requirement failed: tq on d: TimeQuery(10,5) has slides of any size"))
+  }
+
   test("runAllChecked rejects diverging algorithms") {
     // An intentionally wrong "algorithm": always returns the slide's top-k.
     final class Wrong(val query: TopKQuery) extends ContinuousTopK {

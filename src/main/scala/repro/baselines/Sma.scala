@@ -15,6 +15,10 @@ import scala.collection.mutable.ArrayBuffer
   * top-k_max objects (dominated ones removed) — the grid-guided partial
   * re-scan of the paper.
   *
+  * Per slide, the arrivals enter C, then C drops every entry stamped up to
+  * the leaving slide's last stamp (`ScoreTree.expireThrough`), then a C of
+  * fewer than k entries is re-filled by a re-scan.
+  *
   * The experiments' expected behaviour: cheap arrivals, but frequent
   * re-scans whenever scores trend downward (TIMER), and a grid maintenance
   * cost independent of s.
@@ -59,7 +63,7 @@ final class Sma(val query: TopKQuery) extends ContinuousTopK {
     val cutoff = if (slides >= m) slideEnds(slot) else Long.MinValue
     slideEnds(slot) = events(s - 1).t
     slides += 1
-    if (slides > m) expire(cutoff)
+    if (slides > m) cand.expireThrough(cutoff)
     // Amortized grid compaction: drop expired entries once per window span.
     if (gridEntries > 2L * n) compact(cutoff)
     if (slides < m) None
@@ -85,13 +89,6 @@ final class Sma(val query: TopKQuery) extends ContinuousTopK {
       cand.refine(Array(e), k)
       if (cand.size > kmax) cand.popMin()
     }
-  }
-
-  private def expire(cutoff: Long): Unit = {
-    // At most s candidates can expire per slide; find them by arrival time.
-    val dead = new ArrayBuffer[Event]()
-    cand.foreachAscending(nd => if (nd.t <= cutoff) dead += nd.event)
-    dead.foreach(e => cand.delete(e.score, e.t))
   }
 
   /** Re-fill C with the k-skyband of the window's top-k_max objects,

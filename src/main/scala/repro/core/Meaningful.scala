@@ -10,16 +10,15 @@ import scala.collection.mutable.ArrayBuffer
   * pruning (score ≤ Fθ; none when Fθ is NaN) and its local pruning
   * internally. After construction, `expire` drops entries as the window
   * start advances (no `insert` follows it), and `collectTop` yields the
-  * best surviving entries.
+  * best surviving entries. Expiry is by stamp alone, so the caller needs no
+  * copy of the leaving objects.
   */
 trait MeaningfulSet extends Serializable {
   /** Feed the next object of the reverse-arrival scan. True if retained. */
   def insert(score: Double, t: Long): Boolean
 
-  /** Remove entries that have slid out: everything with t <= minT. The
-    * exact events leaving this slide are also provided for keyed deletion.
-    */
-  def expire(outgoing: Array[Event], minT: Long): Unit
+  /** Remove entries that have slid out: everything with t <= minT. */
+  def expire(minT: Long): Unit
 
   /** Currently retained (live) entries. */
   def size: Int
@@ -46,14 +45,7 @@ final class ExactSkybandSet(limit: Int, fTheta: Double) extends MeaningfulSet {
     true
   }
 
-  override def expire(outgoing: Array[Event], minT: Long): Unit = {
-    var i = 0
-    while (i < outgoing.length) {
-      val e = outgoing(i)
-      tree.delete(e.score, e.t)
-      i += 1
-    }
-  }
+  override def expire(minT: Long): Unit = tree.expireThrough(minT)
 
   override def size: Int = tree.size
 
@@ -118,7 +110,7 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
   /** Pop every top stamped ≤ `minT`: the expired entries are exactly
     * prefixes of the stacks (tops expire first). No insert follows.
     */
-  override def expire(outgoing: Array[Event], minT: Long): Unit = {
+  override def expire(minT: Long): Unit = {
     var si = 0
     while (si < stacks.length) {
       val st = stacks(si)
@@ -126,6 +118,9 @@ final class SAvl(limit: Int, fTheta: Double) extends MeaningfulSet {
       si += 1
     }
   }
+
+  /** `expire(minT)` under the signature perfbench's `Layers.meaningful` calls. */
+  def expire(outgoing: Array[Event], minT: Long): Unit = expire(minT)
 
   override def size: Int = live
 

@@ -57,8 +57,9 @@ final class Sap(
   private val slideSize = query.slideSize
 
   /** A partition: arrival sequence numbers [startSeq, endSeq), its top-k
-    * P^k best-first and its units' summaries. The current partition grows
-    * a unit at a time; a finalized one no longer changes.
+    * P^k best-first and, under TBUI, its units' summaries (UBSA's L_i). The
+    * current partition grows a unit at a time; a finalized one no longer
+    * changes.
     */
   private final class Part(val startSeq: Long, var topK: Array[Event]) extends Serializable {
     var endSeq: Long = startSeq
@@ -99,9 +100,9 @@ final class Sap(
     slideSizes(slot) = events.length
     slides += 1
 
-    // 1. Prepare the partition that starts draining this slide *before* its
-    //    objects are overwritten in the ring or removed from C.
-    var outgoing: Array[Event] = null
+    // 1. Expiry, before the arrivals overwrite the leaving slide's ring
+    //    slots: prepare the front while C still holds it, delete the leaving
+    //    objects from C by their keys in the ring, expire M_0 by stamp.
     if (cutoffNew > expired) {
       // With units of over half the window, the current partition can start
       // draining before the next unit completes: finalize it now.
@@ -109,32 +110,26 @@ final class Sap(
       val front = parts.peekFirst()
       if (front != null && !front.prepared && front.startSeq <= cutoffNew)
         prepareFront(front)
-      outgoing = new Array[Event]((cutoffNew - expired).toInt)
-      var j = 0
-      var seq = expired + 1
-      while (seq <= cutoffNew) { outgoing(j) = ring.at(seq); j += 1; seq += 1 }
+      var j = ring.slot(cutoffNew)
+      val lastT = ring.tAt(j)
+      var seq = cutoffNew
+      while (seq > expired) {
+        cand.delete(ring.scoreAt(j), ring.tAt(j))
+        j = ring.prevSlot(j)
+        seq -= 1
+      }
+      if (front != null && front.meaningful != null) front.meaningful.expire(lastT)
+      expired = cutoffNew
     }
 
     // 2. Process arrivals; a unit completes with its last slide.
-    ring.reserve((arrivals + events.length - cutoffNew).toInt)
+    ring.reserve((arrivals + events.length - expired).toInt)
     var i = 0
     while (i < events.length) { arrive(events(i)); i += 1 }
     unitFill += 1
     if (unitFill == unitSlides) completeUnit()
 
-    // 3. Expiry bookkeeping.
-    if (outgoing != null) {
-      val front = parts.peekFirst()
-      var j = 0
-      while (j < outgoing.length) {
-        val e = outgoing(j)
-        cand.delete(e.score, e.t)
-        j += 1
-      }
-      if (front != null && front.meaningful != null)
-        front.meaningful.expire(outgoing, outgoing(outgoing.length - 1).t)
-      expired = cutoffNew
-    }
+    // 3. Drop the partitions that have drained.
     while (!parts.isEmpty && parts.peekFirst().endSeq - 1 <= expired)
       parts.pollFirst()
 
@@ -153,14 +148,10 @@ final class Sap(
 
   private def completeUnit(): Unit = {
     val topDesc = unitTop.toDescendingArray
-    val summary =
-      if (tbui != null) tbui.completeUnit(topDesc, unitStartSeq, arrivals + 1)
-      else new UnitSummary(unitStartSeq, arrivals + 1, kUnit = true, topDesc)
-
     if (cur != null) query match {
       case q: TopKQuery =>
         val mergedTop = mergeTop(cur.topK, topDesc, k)
-        val history = historyTopScores((cur.units.length + 1) * unitSlides)
+        val history = historyTopScores(q.n)
         val curSize = (cur.endSeq - cur.startSeq).toInt
         if (partitioner.join(q, curSize, mergedTop.map(_.score), history)) cur.topK = mergedTop
         else finalizeCurrent()
@@ -168,7 +159,7 @@ final class Sap(
     }
     if (cur == null) cur = new Part(unitStartSeq, topDesc)
     cur.endSeq = arrivals + 1
-    cur.units += summary
+    if (tbui != null) cur.units += tbui.completeUnit(topDesc, unitStartSeq, arrivals + 1)
     unitTop = new TopKBuffer(k)
     unitFill = 0
     unitStartSeq = arrivals + 1
@@ -207,7 +198,7 @@ final class Sap(
     * not even a −∞ score that a time window of under k objects answers.
     */
   private def fThetaFor(p: Part): Double = {
-    val pLastT = ring.at(p.endSeq - 1).t
+    val pLastT = ring.tAt(ring.slot(p.endSeq - 1))
     if (pLastT == Long.MaxValue) return Double.NaN // nothing came after p
     val top = bestOf(k, pLastT + 1, later)
     if (top.length == k) top(k - 1).score else Double.NaN
@@ -273,7 +264,7 @@ final class Sap(
     while (ui >= 0) {
       val u = p.units(ui)
       if (!u.kUnit) {
-        if (!(u.top(0).score <= fTheta)) scanRange(p, u.endT - 1, u.startT, m) // NaN Fθ: no bound
+        if (!(u.top(0).score <= fTheta)) scanRange(p, u.endSeq - 1, u.startSeq, m) // NaN Fθ: no bound
         // else: every object of the unit fails the global pruning — skip
       } else {
         if (u.minTop.score < fTheta) {
@@ -285,7 +276,7 @@ final class Sap(
             if (Event.gt(mn.score, mn.t, e.score, e.t)) m.insert(e.score, e.t)
             i += 1
           }
-        } else scanRange(p, u.endT - 1, u.startT, m)
+        } else scanRange(p, u.endSeq - 1, u.startSeq, m)
       }
       ui -= 1
     }
@@ -355,10 +346,8 @@ final class Sap(
       val p = it.next()
       if (p.meaningful != null) bytes += p.meaningful.memoryBytes
       bytes += p.topK.length.toLong * ContinuousTopK.HeapSlotBytes
-      if (partitioner.useTbui) {
-        val ui = p.units.iterator
-        while (ui.hasNext) bytes += ui.next().memoryBytes
-      }
+      val ui = p.units.iterator
+      while (ui.hasNext) bytes += ui.next().memoryBytes
     }
     bytes
   }
@@ -378,20 +367,15 @@ final class Sap(
 
   // ---------------------------------------------------------------- helpers
 
-  /** Top-ηk candidate scores within the lookback interval I (§4.2): the
-    * window after this slide less the oldest `pPrimeSlides` slides, the
-    * span of P′ = P_cur ∪ U_cur.
+  /** Top-ηk candidate scores within the lookback interval I (§4.2) of a
+    * count window of `n` objects: the newest n − |P′| arrivals, where
+    * P′ = P_cur ∪ U_cur spans the arrivals from `cur.startSeq` on.
     */
-  private def historyTopScores(pPrimeSlides: Int): Array[Double] = {
-    // first sequence number of the newest m − |P′| slides
-    var minSeq = arrivals + 1
-    var j = 0L
-    while (j < windowSlides - pPrimeSlides && j < slides) {
-      minSeq -= slideSizes(((slides - 1 - j) % windowSlides).toInt)
-      j += 1
-    }
+  private def historyTopScores(n: Int): Array[Double] = {
+    val pPrime = arrivals + 1 - cur.startSeq
+    val minSeq = arrivals + 1 - math.min(n - pPrime, arrivals)
     if (minSeq > arrivals) Array.empty
-    else bestOf(Wrt.etaK(k), ring.at(minSeq).t, Array.empty).map(_.score)
+    else bestOf(Wrt.etaK(k), ring.tAt(ring.slot(minSeq)), Array.empty).map(_.score)
   }
 
   /** Merge two disjoint best-first arrays into the best `limit`. */

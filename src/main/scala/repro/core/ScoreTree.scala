@@ -85,6 +85,13 @@ final class ScoreTree extends Serializable {
     while (i >= 0) { insert(best(i).score, best(i).t); i -= 1 }
   }
 
+  /** Delete every entry stamped at or before `minT`. */
+  def expireThrough(minT: Long): Unit = {
+    val dead = new scala.collection.mutable.ArrayBuffer[Node]()
+    foreachAscending(n => if (n.t <= minT) dead += n)
+    dead.foreach(n => delete(n.score, n.t))
+  }
+
   /** Delete the entry with exactly this key. Returns true if present. */
   def delete(score: Double, t: Long): Boolean = {
     val before = size

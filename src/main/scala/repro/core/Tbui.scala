@@ -5,11 +5,11 @@ import scala.collection.mutable.ArrayBuffer
 /** Summary the TBUI algorithm keeps per unit in the list L_i (§4.3):
   * `top` holds U_v^k (best-first) while the unit is a (potential) k-unit,
   * or just the top-1 after the unit is demoted to a non-k-unit. The bounds
-  * are arrival sequence numbers of the unit's objects, [startT, endT).
+  * are arrival sequence numbers of the unit's objects, [startSeq, endSeq).
   */
 final class UnitSummary(
-    val startT: Long,
-    val endT: Long, // exclusive
+    val startSeq: Long,
+    val endSeq: Long, // exclusive
     var kUnit: Boolean,
     var top: Array[Event],
 ) extends Serializable {
@@ -71,8 +71,8 @@ final class Tbui(k: Int) extends Serializable {
     uTau = uTau.filter(_ > tau)
   }
 
-  /** Close the current unit. `topDesc` is its top-k, best-first. */
-  def completeUnit(topDesc: Array[Event], startT: Long, endT: Long): UnitSummary = {
+  /** Close the unit of arrivals [startSeq, endSeq); `topDesc` is its top-k, best-first. */
+  def completeUnit(topDesc: Array[Event], startSeq: Long, endSeq: Long): UnitSummary = {
     if (flag) {
       flag = false // initialization completed within this unit
     } else if (uTau.length >= k) {
@@ -81,7 +81,7 @@ final class Tbui(k: Int) extends Serializable {
       flag = true // downtrend: re-initialize τ from the next unit on
       tau = Double.NegativeInfinity
     }
-    val summary = new UnitSummary(startT, endT, kUnit = true, topDesc)
+    val summary = new UnitSummary(startSeq, endSeq, kUnit = true, topDesc)
     last = summary
     uTau = new ArrayBuffer[Double]()
     summary

@@ -4,9 +4,9 @@ package repro.core
   * sequence number (1 for the first append, 2 for the next, …). Each entry
   * keeps its event's stamp `t`, which need not equal its sequence number.
   *
-  * SAP's meaningful-set formation scans read the raw window from it. A
-  * ring keeps its capacity unless `reserve` asks for more, so a count-based
-  * window of n events never grows past n.
+  * SAP's expiry and M_i formation read the raw window from it slot by
+  * slot. A ring keeps its capacity unless `reserve` asks for more, so a
+  * count-based window of n events never grows past n.
   */
 final class WindowRing(initialCapacity: Int) extends Serializable {
   private var ts = new Array[Long](initialCapacity)
@@ -38,7 +38,7 @@ final class WindowRing(initialCapacity: Int) extends Serializable {
     ts = newTs; scores = newScores
   }
 
-  /** Event by arrival sequence number (must still be retained). */
+  /** Event by arrival sequence number (must still be retained); for perfbench. */
   def at(seq: Long): Event = {
     val i = slot(seq)
     Event(ts(i), scores(i))

@@ -104,7 +104,7 @@ class SAvlSpec extends AnyFunSuite {
       var minT = 0
       while (minT < n) {
         val next = math.min(n, minT + 1 + rnd.nextInt(30))
-        s.expire(events.slice(minT, next), next.toLong)
+        s.expire(next.toLong)
         model.expire(next.toLong)
         minT = next
         sameAsModel(s"after expiry up to t=$minT")
@@ -135,7 +135,7 @@ class SAvlSpec extends AnyFunSuite {
     val s = build(events, 5, Double.NegativeInfinity)
     val before = s.collectTop(s.size).map(_.t).toSet
     val minT = 60L
-    s.expire(events.filter(_.t <= minT), minT)
+    s.expire(minT)
     val after = s.collectTop(s.size).map(_.t).toSet
     assert(after == before.filter(_ > minT))
     assert(s.invariantsHold)
@@ -157,6 +157,33 @@ class SAvlSpec extends AnyFunSuite {
     val s = build(events, 3, Double.NegativeInfinity)
     assert(s.size == 3)
     assert(s.collectTop(3).map(_.score).toSeq == Seq(49.0, 48.0, 47.0))
+  }
+
+  for (seed <- 1 to 10) {
+    test(s"ExactSkybandSet after every expire equals the naive k-skyband of the surviving objects, tied scores (seed=$seed)") {
+      val rnd = new Random(seed)
+      val n = 300
+      // gapped stamps, scores from a small pool so equal scores are frequent
+      val events = Array.tabulate(n)(i => Event(10L * (i + 1), rnd.nextInt(25).toDouble))
+      val limit = 1 + rnd.nextInt(10)
+      val fTheta = if (rnd.nextBoolean()) Double.NaN else 5.0
+      val m = new ExactSkybandSet(limit, fTheta)
+      events.reverseIterator.foreach(e => m.insert(e.score, e.t))
+      val lastT = events(n - 1).t
+      var minT = 0L
+      while (minT < lastT) {
+        minT = math.min(lastT, minT + 1 + rnd.nextInt(300))
+        m.expire(minT)
+        val live = events.filter(_.t > minT)
+        val naive = live.filter { o =>
+          !(o.score <= fTheta) &&
+            live.count(o2 => o2.t > o.t && Event.gt(o2.score, o2.t, o.score, o.t)) < limit
+        }
+        assert(m.collectTop(m.size).toSeq == naive.sorted(Event.desc).toSeq, s"after expiry up to t=$minT")
+        assert(m.size == naive.length, s"after expiry up to t=$minT")
+      }
+      assert(m.size == 0)
+    }
   }
 
   test("ExactSkybandSet equals the naive k-skyband exactly") {

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.BruteForce
-import repro.stream.{SlideRunner, StreamData}
+import repro.stream.{Evaluation, SlideRunner, StreamData, Tables}
 
 /** SAP correctness: every partitioner × formation policy must produce
   * exactly the brute-force answers on every dataset across a parameter
@@ -63,6 +63,21 @@ class SapSpec extends AnyFunSuite {
         Seq("brute" -> (qq => new BruteForce(qq)), "sap" -> (_ => sap)),
         ds.name, events, q)
       assert(sap.meaningfulFormed >= 3, s"only ${sap.meaningfulFormed} fronts had ρ < k")
+    }
+  }
+
+  // perfbench's high-speed point over 3n events: every SAP partitioner, the
+  // three formation policies of Table 2 (EQUAL m = 5) and MinTopK, with
+  // stamps t = i and t = 10·i.
+  for (ds <- Seq(StreamData.Stock, StreamData.TimeR); gap <- Seq(1L, 10L)) {
+    test(s"EN-DYNA, DYNA, EQUAL, minTopK and Table 2's rows == brute force at high-speed scale on ${ds.name} " +
+      s"n=48000 k=1000 s=960 with stamps t=${if (gap == 1L) "" else gap.toString}i") {
+      val q = TopKQuery(n = 48000, k = 1000, s = 960)
+      val events = ds.generate(3 * q.n).map(e => Event(gap * e.t, e.score))
+      val algos = Seq("EN-DYNA", "DYNA", "EQUAL", "minTopK").map(a => a -> Evaluation.factory(a)) ++
+        Tables.formations.map { case (v, _) => val r = Tables.equalRow(v, 5); r.label -> r.make }
+      SlideRunner.runAllChecked(("brute" -> ((qq: TopKQuery) => new BruteForce(qq))) +: algos,
+        ds.name, events, q)
     }
   }
 

@@ -91,6 +91,33 @@ class ScoreTreeSpec extends AnyFunSuite {
     }
   }
 
+  test("expireThrough deletes exactly the entries stamped up to the cutoff; keys, sizes and counters stay (ScalaCheck)") {
+    val gen = for {
+      entries <- Gen.listOfN(200, for {
+        t <- Gen.choose(1L, 400L)
+        s <- Gen.choose(0, 30).map(_.toDouble)
+        d <- Gen.choose(0, 9)
+      } yield (t, s, d))
+      cuts <- Gen.listOfN(6, Gen.choose(0L, 420L))
+    } yield (entries, cuts.sorted)
+    check(Prop.forAll(gen) { case (entries, cuts) =>
+      val tree = new ScoreTree
+      val ref = mutable.Map[Long, (Double, Int)]() // t -> (score, dom)
+      entries.foreach { case (t, s, d) =>
+        if (!ref.contains(t)) { ref(t) = (s, d); tree.insert(s, t, dom = d) }
+      }
+      cuts.forall { minT =>
+        tree.expireThrough(minT)
+        ref.filterInPlace { case (t, _) => t > minT }
+        val want = ref.toSeq.map { case (t, (s, d)) => ((s, t), d) }.sortBy(_._1)
+        val got = mutable.ArrayBuffer[((Double, Long), Int)]()
+        tree.foreachAscending(n => got += (((n.score, n.t), n.dom)))
+        got.toSeq == want && tree.size == want.length &&
+          want.zipWithIndex.forall { case (((s, t), _), i) => tree.countGreater(s, t) == want.length - 1 - i }
+      }
+    })
+  }
+
   test("TopKBuffer keeps exactly the k best") {
     val buf = new TopKBuffer(5)
     val rnd = new scala.util.Random(11)

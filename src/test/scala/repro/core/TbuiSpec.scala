@@ -77,12 +77,13 @@ class TbuiSpec extends AnyFunSuite {
     units.zipWithIndex.filterNot(_._1.kUnit).foreach { case (u, idx) =>
       // Count unit objects not dominated by >= k later objects *within the
       // unit and its successor* — an upper bound on its k-skyband count.
+      // Pairs are (arrival sequence number, score).
       val span = scores.zipWithIndex
-        .filter { case (_, i) => i + 1 >= u.startT && i + 1 < u.endT + lmin }
-        .map { case (s, i) => Event(i + 1L, s) }
-      val inUnit = span.filter(_.t < u.endT)
-      val skyband = inUnit.count { o =>
-        span.count(o2 => o2.t > o.t && o2.score > o.score) < k
+        .map { case (s, i) => (i + 1L, s) }
+        .filter { case (seq, _) => seq >= u.startSeq && seq < u.endSeq + lmin }
+      val inUnit = span.filter { case (seq, _) => seq < u.endSeq }
+      val skyband = inUnit.count { case (seq, s) =>
+        span.count { case (seq2, s2) => seq2 > seq && s2 > s } < k
       }
       assert(skyband <= zetaMax,
         s"demoted unit $idx has $skyband skybands > ζmax=$zetaMax")

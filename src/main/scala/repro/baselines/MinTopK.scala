@@ -24,62 +24,8 @@ import scala.collection.mutable
 final class MinTopK(val query: TopKQuery) extends ContinuousTopK {
   import query.{k, m, s}
 
-  /** Bounded min-heap of (score, t) keeping the k best offered events. */
-  private final class PredictedSet extends Serializable {
-    val scores = new Array[Double](k)
-    val ts = new Array[Long](k)
-    var size = 0
-
-    @inline private def less(i: Int, j: Int): Boolean =
-      !Event.gt(scores(i), ts(i), scores(j), ts(j))
-
-    private def swap(i: Int, j: Int): Unit = {
-      val sc = scores(i); scores(i) = scores(j); scores(j) = sc
-      val tt = ts(i); ts(i) = ts(j); ts(j) = tt
-    }
-
-    private def siftUp(i0: Int): Unit = {
-      var i = i0
-      while (i > 0 && less(i, (i - 1) / 2)) { swap(i, (i - 1) / 2); i = (i - 1) / 2 }
-    }
-
-    private def siftDown(i0: Int): Unit = {
-      var i = i0
-      var done = false
-      while (!done) {
-        val l = 2 * i + 1; val r = l + 1
-        var sm = i
-        if (l < size && less(l, sm)) sm = l
-        if (r < size && less(r, sm)) sm = r
-        if (sm == i) done = true else { swap(i, sm); i = sm }
-      }
-    }
-
-    /** Offer; returns the evicted event, Event(-1,0) if simply accepted,
-      * or null if rejected.
-      */
-    def offer(score: Double, t: Long): Event = {
-      if (size < k) {
-        scores(size) = score; ts(size) = t; size += 1; siftUp(size - 1)
-        MinTopK.Accepted
-      } else if (Event.gt(score, t, scores(0), ts(0))) {
-        val ev = Event(ts(0), scores(0))
-        scores(0) = score; ts(0) = t; siftDown(0)
-        ev
-      } else null
-    }
-
-    def toDescendingArray: Array[Event] = {
-      val out = new Array[Event](size)
-      var i = 0
-      while (i < size) { out(i) = Event(ts(i), scores(i)); i += 1 }
-      java.util.Arrays.sort(out, Event.desc)
-      out
-    }
-  }
-
   // Predicted sets for the active windows, oldest first; up to m of them.
-  private val sets = new java.util.ArrayDeque[PredictedSet]()
+  private val sets = new java.util.ArrayDeque[TopKBuffer]()
   // t -> number of predicted sets containing the object; |C| = refs.size.
   private val refs = new mutable.HashMap[Long, Int]()
   private var slidesSeen = 0L
@@ -93,17 +39,18 @@ final class MinTopK(val query: TopKQuery) extends ContinuousTopK {
   override def processSlide(events: Array[Event]): Option[Array[Event]] = {
     require(events.length == s)
     // A predicted set opens for the newest window this slide belongs to.
-    if (sets.size < m) sets.addLast(new PredictedSet)
+    if (sets.size < m) sets.addLast(new TopKBuffer(k))
     var i = 0
     while (i < events.length) {
       val e = events(i)
       val it = sets.iterator()
       while (it.hasNext) {
         val ps = it.next()
-        val evicted = ps.offer(e.score, e.t)
-        if (evicted != null) {
+        val full = ps.size == k
+        val evictedT = if (full) ps.minT else 0L
+        if (ps.offer(e.score, e.t)) {
           incRef(e.t)
-          if (evicted ne MinTopK.Accepted) decRef(evicted.t)
+          if (full) decRef(evictedT)
         }
       }
       i += 1
@@ -114,9 +61,8 @@ final class MinTopK(val query: TopKQuery) extends ContinuousTopK {
       // Oldest window is now fully observed: emit and retire it.
       val done = sets.pollFirst()
       val res = done.toDescendingArray
-      var j = 0
-      while (j < done.size) { decRef(done.ts(j)); j += 1 }
-      sets.addLast(new PredictedSet)
+      res.foreach(e => decRef(e.t))
+      sets.addLast(new TopKBuffer(k))
       Some(res)
     }
   }
@@ -129,9 +75,4 @@ final class MinTopK(val query: TopKQuery) extends ContinuousTopK {
     // duplicate members — a simulation artifact (DESIGN.md §7.4) that the
     // structural memory model deliberately does not charge.
     refs.size.toLong * ContinuousTopK.TreeNodeBytes + sets.size.toLong * 16L
-}
-
-private object MinTopK {
-  /** Sentinel: the offer was accepted without evicting anything. */
-  val Accepted: Event = Event(-1L, Double.NaN)
 }

@@ -80,9 +80,11 @@ final class Sap(
   // Current (still filling) unit.
   private var unitStartSeq = 1L
   private var unitFill = 0 // slides
-  private var unitTop = new TopKBuffer(k)
+  private var unitTop = Array.empty[Event] // U_cur^k, best-first
 
-  private val tbui: Tbui = if (partitioner.useTbui) new Tbui(k) else null
+  // TBUI feeds only UBSA, which runs under S-AVL formation.
+  private val tbui: Tbui =
+    if (partitioner.useTbui && formation == Formation.DelayedSAvl) new Tbui(k) else null
 
   private var slides = 0L
   private var arrivals = 0L // sequence number of the latest arrival
@@ -126,6 +128,7 @@ final class Sap(
     ring.reserve((arrivals + events.length - expired).toInt)
     var i = 0
     while (i < events.length) { arrive(events(i)); i += 1 }
+    offerSlide(events)
     unitFill += 1
     if (unitFill == unitSlides) completeUnit()
 
@@ -140,27 +143,41 @@ final class Sap(
   private def arrive(e: Event): Unit = {
     ring.append(e)
     arrivals += 1
-    unitTop.offer(e.score, e.t)
     if (tbui != null) tbui.onObject(e.score)
   }
 
   // ----------------------------------------------------------------- units
 
+  /** Folds a slide's arrivals into U_cur^k. Only those that beat its k-th
+    * best can enter, and all of them while it holds fewer than k.
+    */
+  private def offerSlide(events: Array[Event]): Unit = {
+    val entering =
+      if (unitTop.length < k) events.clone()
+      else {
+        val kth = unitTop(k - 1)
+        events.filter(e => Event.gt(e.score, e.t, kth.score, kth.t))
+      }
+    if (entering.nonEmpty) {
+      java.util.Arrays.sort(entering, Event.desc)
+      unitTop = mergeTop(unitTop, entering, k)
+    }
+  }
+
   private def completeUnit(): Unit = {
-    val topDesc = unitTop.toDescendingArray
     if (cur != null) query match {
       case q: TopKQuery =>
-        val mergedTop = mergeTop(cur.topK, topDesc, k)
+        val mergedTop = mergeTop(cur.topK, unitTop, k)
         val history = historyTopScores(q.n)
         val curSize = (cur.endSeq - cur.startSeq).toInt
         if (partitioner.join(q, curSize, mergedTop.map(_.score), history)) cur.topK = mergedTop
         else finalizeCurrent()
       case _: TimeQuery => finalizeCurrent() // its equal units never join
     }
-    if (cur == null) cur = new Part(unitStartSeq, topDesc)
+    if (cur == null) cur = new Part(unitStartSeq, unitTop)
     cur.endSeq = arrivals + 1
-    if (tbui != null) cur.units += tbui.completeUnit(topDesc, unitStartSeq, arrivals + 1)
-    unitTop = new TopKBuffer(k)
+    if (tbui != null) cur.units += tbui.completeUnit(unitTop, unitStartSeq, arrivals + 1)
+    unitTop = Array.empty
     unitFill = 0
     unitStartSeq = arrivals + 1
   }
@@ -223,10 +240,7 @@ final class Sap(
     val m: MeaningfulSet =
       if (formation == Formation.DelayedSAvl) new SAvl(limit, fTheta)
       else new ExactSkybandSet(limit, fTheta)
-    if (partitioner.useTbui && formation == Formation.DelayedSAvl)
-      ubsaScan(p, m, fTheta)
-    else
-      scanRange(p, p.endSeq - 1, p.startSeq, m)
+    if (tbui != null) ubsaScan(p, m, fTheta) else scanRange(p, p.endSeq - 1, p.startSeq, m)
     p.meaningful = m
     formed += 1
   }
@@ -302,7 +316,7 @@ final class Sap(
     * every finalized partition.
     */
   private def later: Array[Event] =
-    mergeTop(if (cur == null) Array.empty else cur.topK, unitTop.toDescendingArray, k)
+    if (cur == null) unitTop else mergeTop(cur.topK, unitTop, k)
 
   /** The best `limit` of C's entries stamped at or after `fromT`, merged
     * with `tops` (best-first, disjoint from C), best-first: one descending
@@ -335,12 +349,12 @@ final class Sap(
       val p = it.next()
       if (p.meaningful != null) m0 += p.meaningful.size
     }
-    cand.size + curTopSize + unitTop.size + m0
+    cand.size + curTopSize + unitTop.length + m0
   }
 
   override def memoryBytes: Long = {
     var bytes =
-      (cand.size + curTopSize + unitTop.size).toLong * ContinuousTopK.TreeNodeBytes
+      (cand.size + curTopSize + unitTop.length).toLong * ContinuousTopK.TreeNodeBytes
     val it = parts.iterator()
     while (it.hasNext) {
       val p = it.next()

@@ -151,11 +151,6 @@ final class ScoreTree extends Serializable {
   private def asc(n: Node, f: Node => Unit): Unit =
     if (n != null) { asc(n.left, f); f(n); asc(n.right, f) }
 
-  /** In-order descending visit; `f` must not mutate the tree. */
-  def foreachDescending(f: Node => Unit): Unit = desc(root, f)
-  private def desc(n: Node, f: Node => Unit): Unit =
-    if (n != null) { desc(n.right, f); f(n); desc(n.left, f) }
-
   /** Descending visit with early exit: stop when `f` returns false. */
   def foreachDescendingWhile(f: Node => Boolean): Unit = { descW(root, f); () }
   private def descW(n: Node, f: Node => Boolean): Boolean = {
@@ -174,34 +169,67 @@ final class ScoreTree extends Serializable {
     ascW(n.right, f)
   }
 
-  /** All entries, descending by key. */
-  def toDescendingArray: Array[Event] = {
-    val out = new Array[Event](size); var i = 0
-    foreachDescending { n => out(i) = n.event; i += 1 }
-    out
-  }
-
   def clear(): Unit = root = null
 }
 
-/** A top-k buffer: a ScoreTree capped at `k` entries, keeping the largest.
-  * Used for the per-unit U_v^k and brute-force selection.
+/** A top-k buffer: a bounded min-heap of (score, t) keys on primitive
+  * arrays that keeps the `k` best offered. It is `BruteForce`'s selector
+  * and holds MinTopK's predicted result sets.
   */
 final class TopKBuffer(val k: Int) extends Serializable {
-  val tree = new ScoreTree
   require(k > 0)
+  private val scores = new Array[Double](k)
+  private val ts = new Array[Long](k)
+  private var n = 0
+
+  def size: Int = n
+
+  /** Stamp of the worst key kept: the one an accepted offer evicts when
+    * `size == k`. Undefined while empty.
+    */
+  def minT: Long = ts(0)
 
   /** Offer an event; keeps only the k best. Returns true if it entered. */
   def offer(score: Double, t: Long): Boolean = {
-    if (tree.size < k) { tree.insert(score, t); return true }
-    val mn = tree.minNode
-    if (Event.gt(score, t, mn.score, mn.t)) {
-      tree.delete(mn.score, mn.t)
-      tree.insert(score, t)
+    if (n < k) {
+      scores(n) = score; ts(n) = t; n += 1; siftUp(n - 1)
+      true
+    } else if (Event.gt(score, t, scores(0), ts(0))) {
+      scores(0) = score; ts(0) = t; siftDown(0)
       true
     } else false
   }
 
-  def size: Int = tree.size
-  def toDescendingArray: Array[Event] = tree.toDescendingArray
+  /** The kept events, best-first. */
+  def toDescendingArray: Array[Event] = {
+    val out = new Array[Event](n)
+    var i = 0
+    while (i < n) { out(i) = Event(ts(i), scores(i)); i += 1 }
+    java.util.Arrays.sort(out, Event.desc)
+    out
+  }
+
+  @inline private def less(i: Int, j: Int): Boolean = Event.gt(scores(j), ts(j), scores(i), ts(i))
+
+  private def swap(i: Int, j: Int): Unit = {
+    val sc = scores(i); scores(i) = scores(j); scores(j) = sc
+    val tt = ts(i); ts(i) = ts(j); ts(j) = tt
+  }
+
+  private def siftUp(i0: Int): Unit = {
+    var i = i0
+    while (i > 0 && less(i, (i - 1) / 2)) { swap(i, (i - 1) / 2); i = (i - 1) / 2 }
+  }
+
+  private def siftDown(i0: Int): Unit = {
+    var i = i0
+    var done = false
+    while (!done) {
+      val l = 2 * i + 1; val r = l + 1
+      var sm = i
+      if (l < n && less(l, sm)) sm = l
+      if (r < n && less(r, sm)) sm = r
+      if (sm == i) done = true else { swap(i, sm); i = sm }
+    }
+  }
 }

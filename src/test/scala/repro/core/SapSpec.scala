@@ -68,11 +68,12 @@ class SapSpec extends AnyFunSuite {
 
   // perfbench's high-speed point over 3n events: every SAP partitioner, the
   // three formation policies of Table 2 (EQUAL m = 5) and MinTopK, with
-  // stamps t = i and t = 10·i.
-  for (ds <- Seq(StreamData.Stock, StreamData.TimeR); gap <- Seq(1L, 10L)) {
+  // stamps t = i and t = 10·i. Table 5's largest slide, s = 4800 > k, puts
+  // a unit over several slides whose first is sorted whole into U_cur^k.
+  for (slide <- Seq(960, 4800); ds <- Seq(StreamData.Stock, StreamData.TimeR); gap <- Seq(1L, 10L)) {
     test(s"EN-DYNA, DYNA, EQUAL, minTopK and Table 2's rows == brute force at high-speed scale on ${ds.name} " +
-      s"n=48000 k=1000 s=960 with stamps t=${if (gap == 1L) "" else gap.toString}i") {
-      val q = TopKQuery(n = 48000, k = 1000, s = 960)
+      s"n=48000 k=1000 s=$slide with stamps t=${if (gap == 1L) "" else gap.toString}i") {
+      val q = TopKQuery(n = 48000, k = 1000, s = slide)
       val events = ds.generate(3 * q.n).map(e => Event(gap * e.t, e.score))
       val algos = Seq("EN-DYNA", "DYNA", "EQUAL", "minTopK").map(a => a -> Evaluation.factory(a)) ++
         Tables.formations.map { case (v, _) => val r = Tables.equalRow(v, 5); r.label -> r.make }

@@ -128,6 +128,31 @@ class ScoreTreeSpec extends AnyFunSuite {
     assert(buf.toDescendingArray.toSeq == expect)
   }
 
+  test("TopKBuffer after every offer: accepted, size and best-first contents match a sorted reference (ScalaCheck)") {
+    val score = Gen.frequency(
+      4 -> Gen.choose(0, 5).map(_.toDouble), // ties
+      1 -> Gen.oneOf(0.0, -0.0, Double.PositiveInfinity, Double.NegativeInfinity),
+      1 -> Gen.choose(-1e6, 1e6))
+    val gen = for {
+      k <- Gen.choose(1, 50)
+      gap <- Gen.oneOf(1L, 10L)
+      n <- Gen.choose(0, 300)
+      scores <- Gen.listOfN(n, score)
+    } yield (k, scores.zipWithIndex.map { case (s, i) => Event(gap * (i + 1), s) })
+    def bits(es: Seq[Event]) = es.map(e => (e.t, java.lang.Double.doubleToRawLongBits(e.score)))
+    check(Prop.forAll(gen) { case (k, events) =>
+      val buf = new TopKBuffer(k)
+      val seen = mutable.ArrayBuffer[Event]()
+      events.forall { e =>
+        val accepted = buf.offer(e.score, e.t)
+        seen += e
+        val want = seen.sorted(Event.desc).take(k)
+        accepted == want.contains(e) && buf.size == want.length &&
+          bits(buf.toDescendingArray.toSeq) == bits(want.toSeq)
+      }
+    })
+  }
+
   test("refine adds the later keys above each entry to its counter and deletes at k (ScalaCheck)") {
     val stepGen = Gen.listOfN(30, Gen.listOfN(4, Gen.choose(0, 9).map(_.toDouble)))
     check(Prop.forAll(stepGen) { steps =>
